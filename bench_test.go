@@ -15,6 +15,8 @@ package watchman_test
 import (
 	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -277,25 +279,69 @@ func BenchmarkCacheReferenceHit(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheReferenceMiss measures the miss path with admission and
-// eviction under steady pressure, for both evictors.
+// BenchmarkCacheReferenceMiss measures the miss path — admission test,
+// victim search, eviction — for both evictors at two resident populations:
+// about 1 300 sets, one shard of the bench's zipf_evict_http daemon, and
+// about 20 000, an unsharded shadow (admission-tuner arm, what-if ghost).
+// Keys are Zipf(1.01) over 16× the resident population, so the stream
+// also hits; a hit costs ~100 ns against 5 µs and up for a miss, and
+// ns/miss divides the elapsed time by the misses alone.
 func BenchmarkCacheReferenceMiss(b *testing.B) {
 	for _, kind := range []watchman.EvictorKind{watchman.ScanEvictor, watchman.HeapEvictor} {
-		kind := kind
-		b.Run(kind.String(), func(b *testing.B) {
-			c, err := watchman.New(watchman.Config{
-				Capacity: 64 << 10, K: 4, Policy: watchman.LNCRA, Evictor: kind,
+		for _, n := range []int{1300, 20000} {
+			b.Run(fmt.Sprintf("%s/n=%d", kind, n), func(b *testing.B) {
+				benchReferenceMiss(b, kind, n)
 			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				id := fmt.Sprintf("query-%d", i%4096)
-				c.Reference(watchman.Request{QueryID: id, Time: float64(i), Size: 256, Cost: 100})
-			}
-		})
+		}
 	}
+}
+
+func benchReferenceMiss(b *testing.B, kind watchman.EvictorKind, n int) {
+	const meanSize = 2048
+	rng := rand.New(rand.NewSource(benchSeed))
+	pop := make([]watchman.Request, 16*n)
+	for k := range pop {
+		pop[k] = watchman.Request{
+			QueryID: fmt.Sprintf("SELECT SUM(amount) FROM fact WHERE bucket = %07d", k),
+			Size:    meanSize/2 + rng.Int63n(meanSize),
+			Cost:    math.Round(200*math.Exp(1.5*rng.NormFloat64())) + 1,
+		}
+	}
+	zipf := rand.NewZipf(rng, 1.01, 1, uint64(len(pop)-1))
+	keys := make([]uint32, 1<<21)
+	for i := range keys {
+		keys[i] = uint32(zipf.Uint64())
+	}
+	c, err := watchman.New(watchman.Config{
+		Capacity: int64(n) * meanSize, K: 4, Policy: watchman.LNCRA, Evictor: kind,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Fill the free space first (no victim search yet), so every timed
+	// miss needs one.
+	t := 0
+	for ; c.FreeBytes() >= 2*meanSize; t++ {
+		req := pop[keys[t%len(keys)]]
+		req.Time = float64(t) / 1000
+		c.Reference(req)
+	}
+	misses := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req := pop[keys[(t+i)%len(keys)]]
+		req.Time = float64(t+i) / 1000
+		if hit, _ := c.Reference(req); !hit {
+			misses++
+		}
+	}
+	b.StopTimer()
+	if misses > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(misses), "ns/miss")
+	}
+	b.ReportMetric(float64(misses)/float64(b.N), "miss-ratio")
+	b.ReportMetric(float64(c.Resident()), "residents")
 }
 
 // BenchmarkShardedReference measures the concurrent layer under parallel

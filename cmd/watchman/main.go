@@ -228,7 +228,7 @@ func cmdRun(args []string) error {
 	k := fs.Int("k", 4, "reference-window size K")
 	cachePct := fs.Float64("cache-pct", 1, "cache size as % of database size")
 	cacheBytes := fs.Int64("cache-bytes", 0, "cache size in bytes (overrides -cache-pct)")
-	evictor := fs.String("evictor", "scan", "victim search: scan or heap")
+	evictor := fs.String("evictor", "scan", "victim search: scan (exact) or heap (near-exact)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -52,7 +52,7 @@ func addShardedFlags(fs *flag.FlagSet) shardedFlags {
 		policy:         fs.String("policy", "lnc-ra", "cache policy"),
 		shards:         fs.Int("shards", 16, "number of cache shards (power of two)"),
 		k:              fs.Int("k", 4, "reference-window size K"),
-		evictor:        fs.String("evictor", "scan", "victim search: scan or heap"),
+		evictor:        fs.String("evictor", "scan", "victim search: scan (exact) or heap (near-exact)"),
 		buffered:       fs.Bool("buffered", false, "serve hits from a lock-free index and apply recency/λ bookkeeping asynchronously (see ARCHITECTURE.md for the consistency trade)"),
 		promoteBuffer:  fs.Int("promote-buffer", 0, "buffered mode: per-shard promotion queue depth (0 = default; needs -buffered)"),
 		getsPerPromote: fs.Int("gets-per-promote", 1, "buffered mode: apply bookkeeping for 1 in N hits per entry (1 = every hit; needs -buffered)"),

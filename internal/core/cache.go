@@ -843,27 +843,16 @@ func (c *Cache) pruneRetained(now float64) {
 		return
 	}
 	minProfit := math.Inf(1)
-	c.eachResident(func(e *Entry) {
+	for _, e := range c.ev.residents() {
 		if p := e.Profit(now); p < minProfit {
 			minProfit = p
 		}
-	})
+	}
 	for e := range c.retained {
 		if e.Profit(now) < minProfit {
 			delete(c.retained, e)
 			c.indexRemove(e)
 			c.stats.RetainedDropped++
-		}
-	}
-}
-
-// eachResident visits every resident entry.
-func (c *Cache) eachResident(f func(*Entry)) {
-	for _, bucket := range c.index {
-		for _, e := range bucket {
-			if e.resident {
-				f(e)
-			}
 		}
 	}
 }
@@ -909,8 +898,7 @@ func (c *Cache) Invalidate(relations ...string) int {
 // Entries returns a snapshot of all resident entries, sorted by ID. It is
 // meant for tests and diagnostics, not hot paths.
 func (c *Cache) Entries() []*Entry {
-	out := make([]*Entry, 0, c.resident)
-	c.eachResident(func(e *Entry) { out = append(out, e) })
+	out := append([]*Entry(nil), c.ev.residents()...)
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }

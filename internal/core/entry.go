@@ -33,6 +33,9 @@ type Entry struct {
 
 	window   refWindow
 	resident bool
+	// evIdx is the entry's position in its evictor's resident list; it is
+	// meaningful only while the entry is resident.
+	evIdx int
 	// rc is the rate context shared with the owning cache; it supplies
 	// the smoothing floor for λ denominators. It is nil for entries
 	// created outside a cache, which then use the raw formula.

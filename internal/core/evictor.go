@@ -1,9 +1,6 @@
 package core
 
-import (
-	"container/heap"
-	"sort"
-)
+import "container/heap"
 
 // EvictorKind selects the victim-search data structure. Both produce
 // candidates in the policy's (tier, key) order; they trade exactness for
@@ -12,7 +9,10 @@ type EvictorKind int
 
 const (
 	// ScanEvictor recomputes every entry's rank at selection time and
-	// sorts. Exact, O(n log n) per eviction.
+	// orders only the victims. Exact; for k victims among n residents an
+	// O(n) rank pass plus an O(k log k) select (O(n log k) if residents
+	// happen to be visited in descending rank order), with no per-miss
+	// allocation beyond the victim list.
 	ScanEvictor EvictorKind = iota
 	// HeapEvictor keeps per-policy heaps with lazily refreshed keys.
 	// Near-exact for time-decaying keys (LNC profits), exact for static
@@ -40,63 +40,175 @@ type evictor interface {
 	// nil when the resident set cannot cover need.
 	candidates(need int64, now float64) []*Entry
 	count() int
+	// residents returns the resident entries in no particular order. The
+	// slice is the evictor's own: callers must not modify or retain it.
+	residents() []*Entry
 }
 
 func newEvictor(kind EvictorKind, r ranker) evictor {
 	if kind == HeapEvictor {
 		return &heapEvictor{r: r, items: make(map[*Entry]*heapItem)}
 	}
-	return &scanEvictor{r: r, entries: make(map[*Entry]struct{})}
+	return &scanEvictor{r: r}
 }
 
-// scanEvictor: exact selection by full sort.
+// residentList is the dense list of resident entries both evictors keep:
+// Entry.evIdx holds each member's position, so removal is a swap with the
+// last element instead of a map delete, and walking the residents touches
+// one contiguous slice.
+type residentList struct {
+	list []*Entry
+}
+
+func (l *residentList) add(e *Entry) {
+	e.evIdx = len(l.list)
+	l.list = append(l.list, e)
+}
+
+// remove drops e and reports whether it was a member.
+func (l *residentList) remove(e *Entry) bool {
+	i, last := e.evIdx, len(l.list)-1
+	if i > last || l.list[i] != e {
+		return false
+	}
+	l.list[i] = l.list[last]
+	l.list[i].evIdx = i
+	l.list[last] = nil
+	l.list = l.list[:last]
+	return true
+}
+
+func (l *residentList) count() int          { return len(l.list) }
+func (l *residentList) residents() []*Entry { return l.list }
+
+// ranked is an entry with its eviction rank at selection time.
+type ranked struct {
+	e    *Entry
+	tier int
+	key  float64
+}
+
+// before is the eviction order: ascending (tier, key), ties broken by ID
+// so that selection never depends on the order residents are visited in.
+func (a ranked) before(b ranked) bool {
+	if a.tier != b.tier {
+		return a.tier < b.tier
+	}
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	return a.e.ID < b.e.ID
+}
+
+// scanEvictor: exact selection. Every resident is ranked at selection
+// time, but only the prefix that will be returned is ever ordered.
 type scanEvictor struct {
-	r       ranker
-	entries map[*Entry]struct{}
+	r ranker
+	residentList
+	// prefix is the selection scratch, reused across calls and empty (all
+	// zero) between them.
+	prefix []ranked
 }
 
-func (s *scanEvictor) add(e *Entry, _ float64) { s.entries[e] = struct{}{} }
-func (s *scanEvictor) remove(e *Entry)         { delete(s.entries, e) }
+func (s *scanEvictor) add(e *Entry, _ float64) { s.residentList.add(e) }
+func (s *scanEvictor) remove(e *Entry)         { s.residentList.remove(e) }
 func (s *scanEvictor) touch(*Entry, float64)   {}
-func (s *scanEvictor) count() int              { return len(s.entries) }
 
 func (s *scanEvictor) candidates(need int64, now float64) []*Entry {
-	all := make([]*Entry, 0, len(s.entries))
-	for e := range s.entries {
-		all = append(all, e)
+	if cap(s.prefix) < len(s.list) {
+		s.prefix = make([]ranked, 0, cap(s.list))
 	}
-	type ranked struct {
-		e    *Entry
-		tier int
-		key  float64
+	h := s.selectPrefix(need, now)
+	if len(h) == 0 {
+		return nil
 	}
-	rs := make([]ranked, len(all))
-	for i, e := range all {
-		t, k := s.r.rank(e, now)
-		rs[i] = ranked{e, t, k}
+	// The victim list outlives the call (events carry it), so it is the
+	// one allocation. The max-heap drains last victim first.
+	out := make([]*Entry, len(h))
+	for i := len(h) - 1; i >= 0; i-- {
+		out[i] = h[0].e
+		h = popMax(h)
 	}
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].tier != rs[j].tier {
-			return rs[i].tier < rs[j].tier
-		}
-		if rs[i].key != rs[j].key {
-			return rs[i].key < rs[j].key
-		}
-		return rs[i].e.ID < rs[j].e.ID // deterministic tie-break
-	})
-	var out []*Entry
+	return out
+}
+
+// selectPrefix ranks every resident once and returns, as a max-heap in
+// the scratch, the minimal prefix of the eviction order whose sizes cover
+// need, or nil when all residents together cannot. The heap holds that
+// prefix for the residents visited so far: one outside it is dismissed by
+// a single comparison against the heap's top, one inside it is pushed and
+// whatever the prefix no longer needs is popped.
+//
+//watchman:hotpath
+func (s *scanEvictor) selectPrefix(need int64, now float64) []ranked {
+	h := s.prefix[:0]
 	var freed int64
-	for _, r := range rs {
-		if freed >= need {
-			return out
+	for _, e := range s.list {
+		tier, key := s.r.rank(e, now)
+		x := ranked{e, tier, key}
+		if freed >= need && (len(h) == 0 || !x.before(h[0])) {
+			continue
 		}
-		out = append(out, r.e)
-		freed += r.e.Size
+		h = pushMax(h, x)
+		freed += e.Size
+		for len(h) > 0 && freed-h[0].e.Size >= need {
+			freed -= h[0].e.Size
+			h = popMax(h)
+		}
 	}
-	if freed >= need {
-		return out
+	if freed < need {
+		clear(h)
+		return nil
 	}
-	return nil
+	return h
+}
+
+// pushMax adds x to the max-heap h, which must have spare capacity.
+//
+//watchman:hotpath
+func pushMax(h []ranked, x ranked) []ranked {
+	i := len(h)
+	h = h[:i+1]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h[parent].before(x) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = x
+	return h
+}
+
+// popMax removes the top of the max-heap h, zeroing the slot it vacates.
+//
+//watchman:hotpath
+func popMax(h []ranked) []ranked {
+	n := len(h) - 1
+	x := h[n]
+	h[n] = ranked{}
+	h = h[:n]
+	if n == 0 {
+		return h
+	}
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && h[child].before(h[r]) {
+			child = r
+		}
+		if !x.before(h[child]) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	h[i] = x
+	return h
 }
 
 // heapEvictor: lazy min-heap keyed by (tier, key) captured at push time.
@@ -130,10 +242,10 @@ func (h itemHeap) Empty() bool            { return len(h) == 0 }
 func (h itemHeap) stale(i *heapItem) bool { return i.e == nil }
 
 type heapEvictor struct {
-	r     ranker
+	r ranker
+	residentList
 	h     itemHeap
 	items map[*Entry]*heapItem
-	n     int
 }
 
 func (he *heapEvictor) push(e *Entry, now float64) {
@@ -145,14 +257,13 @@ func (he *heapEvictor) push(e *Entry, now float64) {
 
 func (he *heapEvictor) add(e *Entry, now float64) {
 	he.push(e, now)
-	he.n++
+	he.residentList.add(e)
 }
 
 func (he *heapEvictor) remove(e *Entry) {
-	if it, ok := he.items[e]; ok {
-		it.e = nil // lazy delete
+	if he.residentList.remove(e) {
+		he.items[e].e = nil // lazy delete
 		delete(he.items, e)
-		he.n--
 	}
 }
 
@@ -163,11 +274,9 @@ func (he *heapEvictor) touch(e *Entry, now float64) {
 	he.push(e, now)
 }
 
-func (he *heapEvictor) count() int { return he.n }
-
 // compact drops stale items when they dominate the heap.
 func (he *heapEvictor) compact() {
-	if len(he.h) < 64 || len(he.h) < 4*he.n {
+	if len(he.h) < 64 || len(he.h) < 4*he.count() {
 		return
 	}
 	live := he.h[:0]

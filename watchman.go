@@ -181,7 +181,7 @@ const (
 
 // Victim-search structures.
 const (
-	// ScanEvictor is the exact O(n log n) selector.
+	// ScanEvictor is the exact selector: O(n) rank pass + O(k log k) select.
 	ScanEvictor = core.ScanEvictor
 	// HeapEvictor is the near-exact O(k log n) selector.
 	HeapEvictor = core.HeapEvictor
