@@ -9,6 +9,14 @@
 //	go run ./cmd/benchguard -baseline BENCH_shard_baseline.json \
 //	    -candidate BENCH_shard.json -filter load=snapshots -max-regress 0.30
 //
+// A second gate needs no baseline: with -max-allocs N, every candidate
+// benchmark matching the filter must report at most N allocs/op in its
+// worst observation — the allocation-free hit path is a property, not a
+// trend.
+//
+//	go run ./cmd/benchguard -candidate BENCH_shard.json \
+//	    -filter BenchmarkShardedReference/ -max-allocs 0
+//
 // Either side may be a raw `go test -json` log or the compact summary
 // this command itself produces:
 //
@@ -45,6 +53,7 @@ func main() {
 	candidate := flag.String("candidate", "", "candidate `file` (go test -json output or benchguard summary)")
 	filter := flag.String("filter", "", "only gate benchmarks whose name contains this `substring`")
 	maxRegress := flag.Float64("max-regress", 0.30, "allowed throughput loss as a `fraction` of baseline")
+	maxAllocs := flag.Float64("max-allocs", -1, "allocation gate: fail when a filtered -candidate benchmark's worst allocs/op exceeds `N` (takes no -baseline)")
 	summarize := flag.Bool("summarize", false, "summarize mode: condense one go test -json log into the compact summary format instead of gating")
 	in := flag.String("in", "", "summarize: input `file` (go test -json output)")
 	out := flag.String("o", "", "summarize: output `file` (default stdout)")
@@ -68,6 +77,25 @@ func main() {
 	if *in != "" || *out != "" {
 		fmt.Fprintln(os.Stderr, "benchguard: -in/-o need -summarize")
 		os.Exit(2)
+	}
+	if *maxAllocs >= 0 {
+		if *baseline != "" || *candidate == "" {
+			fmt.Fprintln(os.Stderr, "benchguard: -max-allocs takes -candidate and no -baseline")
+			os.Exit(2)
+		}
+		cells, err := loadCells(*candidate)
+		if err != nil {
+			fatal(err)
+		}
+		report, failed := gateAllocs(cells, *filter, *maxAllocs)
+		if report == "" {
+			fatal(fmt.Errorf("candidate %s has no benchmarks matching %q", *candidate, *filter))
+		}
+		fmt.Print(report)
+		if failed {
+			os.Exit(1)
+		}
+		return
 	}
 	if *baseline == "" || *candidate == "" {
 		fmt.Fprintln(os.Stderr, "benchguard: -baseline and -candidate are required")
@@ -98,16 +126,8 @@ func main() {
 // and renders the verdict lines. An empty report means the filter
 // matched nothing in the baseline.
 func gate(base, cand map[string][]float64, filter string, maxRegress float64) (report string, failed bool) {
-	names := make([]string, 0, len(base))
-	for name := range base {
-		if strings.Contains(name, filter) {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-
 	var sb strings.Builder
-	for _, name := range names {
+	for _, name := range matching(base, filter) {
 		b := best(base[name])
 		got, ok := cand[name]
 		if !ok {
@@ -126,6 +146,33 @@ func gate(base, cand map[string][]float64, filter string, maxRegress float64) (r
 			verdict, name, b, c, floor)
 	}
 	return sb.String(), failed
+}
+
+// gateAllocs checks the filtered candidate cells against the allocation
+// ceiling. An empty report means the filter matched nothing.
+func gateAllocs(cells map[string]*benchCell, filter string, maxAllocs float64) (report string, failed bool) {
+	var sb strings.Builder
+	for _, name := range matching(cells, filter) {
+		verdict := "ok  "
+		if cells[name].AllocsPerOp > maxAllocs {
+			verdict = "FAIL"
+			failed = true
+		}
+		fmt.Fprintf(&sb, "%s %s: %g allocs/op (ceiling %g)\n", verdict, name, cells[name].AllocsPerOp, maxAllocs)
+	}
+	return sb.String(), failed
+}
+
+// matching returns the benchmark names containing filter, sorted.
+func matching[V any](benchmarks map[string]V, filter string) []string {
+	names := make([]string, 0, len(benchmarks))
+	for name := range benchmarks {
+		if strings.Contains(name, filter) {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	return names
 }
 
 func fatal(err error) {
@@ -250,6 +297,22 @@ func decodeSummary(data []byte) (benchSummary, bool) {
 type observation struct {
 	name   string
 	values map[string]float64
+}
+
+// loadCells reads one file in either format into summary cells.
+func loadCells(path string) (map[string]*benchCell, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if sum, ok := decodeSummary(data); ok {
+		return sum.Benchmarks, nil
+	}
+	obs, err := parseRawLog(path, data)
+	if err != nil {
+		return nil, err
+	}
+	return summarize(obs).Benchmarks, nil
 }
 
 // loadRefsPerSec collects every refs/s observation per benchmark name

@@ -133,3 +133,37 @@ func TestGateAcrossFormats(t *testing.T) {
 		t.Fatalf("8x regression must fail:\n%s", report)
 	}
 }
+
+// TestGateAllocs checks the allocation ceiling on either file format: the
+// worst observation of a -count run decides, and a filter that matches
+// nothing yields no report (which main turns into an error).
+func TestGateAllocs(t *testing.T) {
+	dir := t.TempDir()
+	raw := filepath.Join(dir, "raw.json")
+	if err := os.WriteFile(raw, []byte(rawLog), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	compact := filepath.Join(dir, "summary.json")
+	if err := runSummarize(raw, compact); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{raw, compact} {
+		cells, err := loadCells(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report, failed := gateAllocs(cells, "whatif=on", 0); failed || report == "" {
+			t.Fatalf("%s: an allocation-free benchmark must pass:\n%s", path, report)
+		}
+		// whatif=off allocated once in one of its two runs.
+		if report, failed := gateAllocs(cells, "whatif=off", 0); !failed {
+			t.Fatalf("%s: one allocating run of two must fail the gate:\n%s", path, report)
+		}
+		if report, failed := gateAllocs(cells, "whatif=off", 1); failed {
+			t.Fatalf("%s: ceiling 1 admits 1 alloc/op:\n%s", path, report)
+		}
+		if report, _ := gateAllocs(cells, "no-such-benchmark", 0); report != "" {
+			t.Fatalf("%s: unmatched filter produced a report:\n%s", path, report)
+		}
+	}
+}

@@ -7,13 +7,17 @@ package analysis
 // benchmarks drive. The annotation turns the property into a reviewable
 // contract on the function itself: fmt calls, map/slice literals, makes,
 // news, string conversions, growing appends, capturing closures and
-// composite-value interface boxing are all flagged. The check is
+// composite-value interface boxing are all flagged. One conversion is
+// exempt because the compiler guarantees it: string(b) as the direct
+// operand of a comparison reads b in place (the reference front probes
+// the signature index that way). The check is
 // intraprocedural by design — calls into other functions are that
 // function's business; annotate the callee too if it shares the
 // contract.
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -43,8 +47,19 @@ func runHotPathAlloc(pass *Pass) error {
 
 // checkHotFunc walks one annotated function body.
 func checkHotFunc(pass *Pass, fn *ast.FuncDecl) {
+	// compared holds the conversions that are direct operands of a
+	// comparison; Inspect reaches the comparison before its operands.
+	compared := make(map[*ast.CallExpr]bool)
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.BinaryExpr:
+			if isComparison(n.Op) {
+				for _, operand := range [...]ast.Expr{n.X, n.Y} {
+					if call, ok := ast.Unparen(operand).(*ast.CallExpr); ok {
+						compared[call] = true
+					}
+				}
+			}
 		case *ast.FuncLit:
 			if capturesOuter(pass, n, fn) {
 				pass.Report(n.Pos(), "closure captures outer variables and allocates on the hot path")
@@ -71,19 +86,26 @@ func checkHotFunc(pass *Pass, fn *ast.FuncDecl) {
 				}
 			}
 		case *ast.CallExpr:
-			checkHotCall(pass, n)
+			checkHotCall(pass, n, compared[n])
 		}
 		return true
 	})
 }
 
 // checkHotCall classifies one call expression inside a hot function.
-func checkHotCall(pass *Pass, call *ast.CallExpr) {
-	// Type conversions: string <-> []byte/[]rune copy and allocate.
+// compared marks a direct operand of a comparison.
+func checkHotCall(pass *Pass, call *ast.CallExpr, compared bool) {
+	// Type conversions: string <-> []byte/[]rune copy and allocate — except
+	// string(bytes) consumed by a comparison, which the compiler evaluates
+	// over the slice's own memory.
 	if tv, ok := pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
-		dst := types.Unalias(tv.Type).Underlying()
-		src := pass.TypesInfo.Types[call.Args[0]].Type
-		if src != nil && conversionAllocates(dst, src.Underlying()) {
+		dst, src := tv.Type, pass.TypesInfo.Types[call.Args[0]].Type
+		if src == nil {
+			return
+		}
+		toString := anyTerm(dst, isString) && anyTerm(src, isByteOrRuneSlice)
+		fromString := anyTerm(dst, isByteOrRuneSlice) && anyTerm(src, isString)
+		if fromString || (toString && !compared) {
 			pass.Report(call.Pos(), "string conversion allocates on the hot path")
 		}
 		return
@@ -151,10 +173,39 @@ func checkBoxing(pass *Pass, call *ast.CallExpr) {
 	}
 }
 
-// conversionAllocates reports whether a conversion between the two
-// underlying types copies memory (string <-> byte/rune slice).
-func conversionAllocates(dst, src types.Type) bool {
-	return (isString(dst) && isByteOrRuneSlice(src)) || (isByteOrRuneSlice(dst) && isString(src))
+// isComparison reports whether op compares its operands.
+func isComparison(op token.Token) bool {
+	return op == token.EQL || op == token.NEQ ||
+		op == token.LSS || op == token.LEQ || op == token.GTR || op == token.GEQ
+}
+
+// anyTerm reports whether pred holds for t's underlying type or, when t
+// is a type parameter, for any type in its constraint: a conversion in a
+// generic body allocates whenever one of its instantiations does.
+func anyTerm(t types.Type, pred func(types.Type) bool) bool {
+	tp, ok := types.Unalias(t).(*types.TypeParam)
+	if !ok {
+		return pred(t.Underlying())
+	}
+	iface, ok := tp.Constraint().Underlying().(*types.Interface)
+	if !ok {
+		return false
+	}
+	for i := 0; i < iface.NumEmbeddeds(); i++ {
+		switch e := iface.EmbeddedType(i).(type) {
+		case *types.Union:
+			for j := 0; j < e.Len(); j++ {
+				if pred(e.Term(j).Type().Underlying()) {
+					return true
+				}
+			}
+		default:
+			if pred(e.Underlying()) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // isString reports whether the underlying type is string.

@@ -63,6 +63,46 @@ func OKClosure() int {
 	return f()
 }
 
+// BadConv materializes a string from bytes: a copy on the heap.
+//
+//watchman:hotpath
+func BadConv(b []byte) string {
+	return string(b) // want `string conversion allocates on the hot path`
+}
+
+// OKCompare converts only as the operand of a comparison, which the
+// compiler evaluates over the slice's own memory.
+//
+//watchman:hotpath
+func OKCompare(ids []string, b []byte) bool {
+	for _, id := range ids {
+		if id == string(b) {
+			return true
+		}
+	}
+	return false
+}
+
+// BadGeneric is flagged for the []byte instantiation of its conversion.
+//
+//watchman:hotpath
+func BadGeneric[ID string | []byte](id ID) string {
+	return string(id) // want `string conversion allocates on the hot path`
+}
+
+// OKProbe is the index probe's shape: generic over the ID's form, and the
+// conversion feeds a comparison.
+//
+//watchman:hotpath
+func OKProbe[ID string | []byte](ids []string, id ID) bool {
+	for _, s := range ids {
+		if s == string(id) {
+			return true
+		}
+	}
+	return false
+}
+
 // Fault keeps its one deliberate allocation on record with a justified
 // suppression, mirroring buffer.Pool.Read's fault path.
 //

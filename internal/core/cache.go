@@ -325,11 +325,17 @@ func (c *Cache) retainsInfo() bool {
 }
 
 // lookup finds the entry for a compressed ID via the signature index.
+func (c *Cache) lookup(id string, sig uint64) *Entry { return probe(c, id, sig) }
+
+// probe is the index probe behind every lookup: id is the canonical query
+// ID either as the bytes Canonical just produced into the caller's buffer
+// or as a string some caller already holds (an Entry.ID, a tuner sample, a
+// snapshot record). Comparing against bytes never materializes a string.
 //
 //watchman:hotpath
-func (c *Cache) lookup(id string, sig uint64) *Entry {
+func probe[ID string | []byte](c *Cache, id ID, sig uint64) *Entry {
 	for _, e := range c.index[sig] {
-		if e.ID == id {
+		if e.ID == string(id) {
 			return e
 		}
 	}
@@ -370,14 +376,27 @@ func (c *Cache) Peek(queryID string) (payload any, ok bool) {
 // recording a reference. Concurrent wrappers use it to learn the stored
 // Size and Cost of a set before charging a hit against it.
 func (c *Cache) Lookup(queryID string) (*Entry, bool) {
-	id := CompressID(queryID)
-	return c.LookupCanonical(id, Signature(id))
+	var buf [256]byte
+	id, sig := Canonical(buf[:0], queryID)
+	return c.LookupBytes(id, sig)
 }
 
 // LookupCanonical is Lookup for callers that already hold the compressed
 // query ID and its signature.
 func (c *Cache) LookupCanonical(id string, sig uint64) (*Entry, bool) {
-	e := c.lookup(id, sig)
+	return resident(c.lookup(id, sig))
+}
+
+// LookupBytes is Lookup for callers that hold Canonical's output. id is
+// only read during the call; the returned entry's ID is the canonical
+// string.
+func (c *Cache) LookupBytes(id []byte, sig uint64) (*Entry, bool) {
+	return resident(probe(c, id, sig))
+}
+
+// resident filters a probe result down to cached retrieved sets; retained
+// reference records are not lookups' business.
+func resident(e *Entry) (*Entry, bool) {
 	if e == nil || !e.resident {
 		return nil, false
 	}
@@ -392,19 +411,44 @@ func (c *Cache) LookupCanonical(id string, sig uint64) (*Entry, bool) {
 //
 //watchman:accounted
 func (c *Cache) Reference(req Request) (hit bool, payload any) {
-	id := CompressID(req.QueryID)
-	return c.reference(req, id, Signature(id), true)
+	var buf [256]byte
+	id, sig := Canonical(buf[:0], req.QueryID)
+	hit, payload, _ = c.ReferenceBytes(req, id, sig)
+	return hit, payload
+}
+
+// ReferenceBytes is Reference for callers that hold Canonical's output:
+// the sharded front canonicalizes and hashes once, into a buffer on its
+// stack, to route the request, and the serialized path under the shard
+// lock probes the index with those bytes. id is only read during the call
+// and never retained. The returned canonical string is the entry's own ID
+// when the probe found a record (a hit, or a miss on a retained one); a
+// first-sight miss materializes it — reusing req.QueryID when that was
+// already canonical — which is the only point on the reference path where
+// the ID reaches the heap.
+//
+//watchman:accounted
+func (c *Cache) ReferenceBytes(req Request, id []byte, sig uint64) (hit bool, payload any, canonical string) {
+	now := c.begin(&req)
+	e := probe(c, id, sig)
+	c.spanStage(StageLookup)
+	if e != nil {
+		req.QueryID = e.ID
+	} else {
+		req.QueryID = CanonicalString(id, req.QueryID)
+	}
+	hit, payload = c.resolve(e, &req, sig, now, true)
+	return hit, payload, req.QueryID
 }
 
 // ReferenceCanonical is Reference for callers that already hold the
-// compressed query ID and its signature — the sharded front computes both
-// to route the request, and recomputing them on the serialized hot path
-// would double the per-request work under the shard lock. req.QueryID must
-// be a CompressID result and sig its Signature.
+// compressed query ID and its signature as a string — the tuner's shadows
+// and the what-if ghosts replay IDs taken from the live cache's events.
+// req.QueryID must be a CompressID result and sig its Signature.
 //
 //watchman:accounted
 func (c *Cache) ReferenceCanonical(req Request, sig uint64) (hit bool, payload any) {
-	return c.reference(req, req.QueryID, sig, true)
+	return c.reference(req, sig, true)
 }
 
 // ReferenceExecuted is ReferenceCanonical minus the derivation stage: the
@@ -414,7 +458,28 @@ func (c *Cache) ReferenceCanonical(req Request, sig uint64) (hit bool, payload a
 //
 //watchman:accounted
 func (c *Cache) ReferenceExecuted(req Request, sig uint64) (hit bool, payload any) {
-	return c.reference(req, req.QueryID, sig, false)
+	return c.reference(req, sig, false)
+}
+
+// reference is the lookup stage for a request whose QueryID is already the
+// canonical string; ReferenceBytes is its counterpart for canonical bytes.
+//
+//watchman:accounted
+func (c *Cache) reference(req Request, sig uint64, allowDerive bool) (hit bool, payload any) {
+	now := c.begin(&req)
+	e := c.lookup(req.QueryID, sig)
+	c.spanStage(StageLookup)
+	return c.resolve(e, &req, sig, now, allowDerive)
+}
+
+// begin opens a reference: it advances the clock, charges the reference
+// into the denominators and starts the span. The span is named by resolve,
+// once the lookup stage has the canonical ID as a string.
+func (c *Cache) begin(req *Request) (now float64) {
+	now = c.tick(req.Time, req.Cost)
+	c.spanBegin("", req.Class, req.Size, req.Cost, now)
+	c.spanCharge(StageLoad, req.ExecNanos)
+	return now
 }
 
 // ReferenceEntry charges a hit against a resident entry previously
@@ -526,20 +591,17 @@ func (c *Cache) chargeHit(e *Entry, cost float64, class int, now float64) {
 	c.sampleFragmentation()
 }
 
-// reference drives the lifecycle of one submission: the lookup stage finds
-// the entry, the account stage charges the reference (hit or miss), and on
-// a miss the derivation stage may answer it from a cached ancestor before
-// the admit and insert/evict stages run via miss.
+// resolve drives the lifecycle of one submission past the lookup stage,
+// which found e (nil when the index holds no record): the account stage
+// charges the hit, or on a miss the derivation stage may answer from a
+// cached ancestor before the admit and insert/evict stages run via miss.
+// req.QueryID is the canonical ID by now — events, spans, the deriver and
+// a new Entry all name the set by it.
 //
-//watchman:accounted
-func (c *Cache) reference(req Request, id string, sig uint64, allowDerive bool) (hit bool, payload any) {
-	now := c.tick(req.Time, req.Cost)
-	c.spanBegin(id, req.Class, req.Size, req.Cost, now)
-	c.spanCharge(StageLoad, req.ExecNanos)
-
-	// Lookup stage.
-	e := c.lookup(id, sig)
-	c.spanStage(StageLookup)
+//watchman:accounting
+func (c *Cache) resolve(e *Entry, req *Request, sig uint64, now float64, allowDerive bool) (hit bool, payload any) {
+	id := req.QueryID
+	c.spanID(id)
 
 	if e != nil && e.resident {
 		// Account stage, hit outcome.
@@ -555,10 +617,10 @@ func (c *Cache) reference(req Request, id string, sig uint64, allowDerive bool) 
 	// — the comparison needs a basis, and a request that already carries
 	// its payload has nothing left to save.
 	if allowDerive && c.deriver != nil && req.Plan != nil && req.Payload == nil && req.Cost > 0 {
-		d, ok := c.deriver.Derive(req)
+		d, ok := c.deriver.Derive(*req)
 		c.spanStage(StageDerive)
 		if ok && d.Cost < req.Cost {
-			payload = c.deriveHit(e, id, sig, req, d, now)
+			payload = c.deriveHit(e, id, sig, *req, d, now)
 			c.spanFinish(EventHitDerived)
 			return true, payload
 		}
@@ -566,7 +628,7 @@ func (c *Cache) reference(req Request, id string, sig uint64, allowDerive bool) 
 
 	// Miss path (Figure 1 of the paper).
 	c.missesSincePrune++
-	c.miss(e, id, sig, req, now, false)
+	c.miss(e, id, sig, *req, now, false)
 	c.spanSubmit()
 	if c.missesSincePrune >= c.cfg.RetainedPruneEvery {
 		c.pruneRetained(now)
@@ -931,6 +993,13 @@ func (c *Cache) CheckInvariants() error {
 			}
 			if Signature(e.ID) != e.Sig {
 				return fmt.Errorf("entry %q has stale signature", e.ID)
+			}
+			if CompressID(e.ID) != e.ID {
+				// With the signature check above this guards the bytes
+				// front: an ID cut short at the buffer boundary no longer
+				// hashes to its Sig, and one aliasing a caller's buffer
+				// changes under the index once the buffer is reused.
+				return fmt.Errorf("entry %q is indexed under a non-canonical ID", e.ID)
 			}
 			_, isRetained := c.retained[e]
 			if e.resident == isRetained {

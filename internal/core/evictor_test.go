@@ -185,6 +185,40 @@ func zipfTrace(pop, n int, seed int64) *trace.Trace {
 	return tr
 }
 
+// workingSetBytes sums the sizes of the trace's distinct queries.
+func workingSetBytes(tr *trace.Trace) int64 {
+	distinct := make(map[string]int64)
+	for i := range tr.Records {
+		distinct[tr.Records[i].QueryID] = tr.Records[i].Size
+	}
+	var total int64
+	for _, s := range distinct {
+		total += s
+	}
+	return total
+}
+
+// requireSameReplay fails unless two replays of one trace — the subject's
+// and the oracle's — ended in equal Stats after identical event streams,
+// and the trace made the cache both hit and evict.
+func requireSameReplay(t *testing.T, label string, got, oracle *Cache, gotLog, oracleLog eventLog) {
+	t.Helper()
+	if g, w := got.Stats(), oracle.Stats(); g != w {
+		t.Fatalf("%s: Stats differ:\n subject %+v\n oracle  %+v", label, g, w)
+	}
+	if st := oracle.Stats(); st.Evictions == 0 || st.Hits == 0 {
+		t.Fatalf("%s: %d evictions, %d hits: the replay proves nothing", label, st.Evictions, st.Hits)
+	}
+	if len(gotLog) != len(oracleLog) {
+		t.Fatalf("%s: %d events, oracle %d", label, len(gotLog), len(oracleLog))
+	}
+	for i := range gotLog {
+		if gotLog[i] != oracleLog[i] {
+			t.Fatalf("%s: event %d differs:\n subject %+v\n oracle  %+v", label, i, gotLog[i], oracleLog[i])
+		}
+	}
+}
+
 // TestScanEvictorReplayMatchesSortOracle replays whole traces through two
 // caches that differ only in the evictor — the scan evictor and the sort
 // oracle injected in its place — and requires equal Stats and identical
@@ -206,16 +240,8 @@ func TestScanEvictorReplayMatchesSortOracle(t *testing.T) {
 		{K: 1, Policy: LCS},
 	}
 	for name, tr := range traces {
-		distinct := make(map[string]int64)
-		for i := range tr.Records {
-			distinct[tr.Records[i].QueryID] = tr.Records[i].Size
-		}
-		var total int64
-		for _, s := range distinct {
-			total += s
-		}
 		for _, cfg := range configs {
-			cfg.Capacity = total / 50
+			cfg.Capacity = workingSetBytes(tr) / 50
 			var logs [2]eventLog
 			var caches [2]*Cache
 			for i := range caches {
@@ -240,21 +266,8 @@ func TestScanEvictorReplayMatchesSortOracle(t *testing.T) {
 				}
 				caches[i] = c
 			}
-			label := fmt.Sprintf("%s/%s strict=%v", name, cfg.Policy, cfg.StrictTiers)
-			if got, want := caches[0].Stats(), caches[1].Stats(); got != want {
-				t.Fatalf("%s: Stats differ:\n scan   %+v\n oracle %+v", label, got, want)
-			}
-			if caches[0].Stats().Evictions == 0 {
-				t.Fatalf("%s: no evictions, the replay proves nothing", label)
-			}
-			if len(logs[0]) != len(logs[1]) {
-				t.Fatalf("%s: %d events, oracle %d", label, len(logs[0]), len(logs[1]))
-			}
-			for i := range logs[0] {
-				if logs[0][i] != logs[1][i] {
-					t.Fatalf("%s: event %d differs:\n scan   %+v\n oracle %+v", label, i, logs[0][i], logs[1][i])
-				}
-			}
+			requireSameReplay(t, fmt.Sprintf("%s/%s strict=%v", name, cfg.Policy, cfg.StrictTiers),
+				caches[0], caches[1], logs[0], logs[1])
 		}
 	}
 }

@@ -132,6 +132,17 @@ func (c *Cache) spanBegin(id string, class int, size int64, cost, now float64) {
 	c.spanMark = c.span.Start
 }
 
+// spanID names the scratch span. The reference path begins its span before
+// the canonical ID exists as a string — the probe runs on the caller's
+// bytes — and names it from the entry it found or the string the miss
+// materialized.
+func (c *Cache) spanID(id string) {
+	if c.tracer == nil {
+		return
+	}
+	c.span.ID = id
+}
+
 // spanStage closes the stage that began at the previous mark, attributing
 // the elapsed monotonic nanoseconds to it.
 func (c *Cache) spanStage(st Stage) {

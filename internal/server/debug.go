@@ -159,8 +159,10 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "empty query id")
 		return
 	}
-	id := core.CompressID(queryID)
-	_, resident := s.cache.Peek(queryID)
+	var buf [256]byte
+	key, sig := core.Canonical(buf[:0], queryID)
+	_, resident := s.cache.PeekBytes(key, sig)
+	id := core.CanonicalString(key, queryID)
 	resp := ExplainResponse{QueryID: queryID, ID: id, Resident: resident}
 	if d, ok := rec.LastDecision(id); ok {
 		resp.Decision = &d

@@ -398,13 +398,15 @@ func (s *Sharded) timestamp(t float64) float64 {
 //
 //watchman:accounted
 func (s *Sharded) Reference(req core.Request) (hit bool, payload any) {
-	id := core.CompressID(req.QueryID)
-	req.QueryID = id
+	var buf [256]byte
+	key, sig := core.Canonical(buf[:0], req.QueryID)
 	req.Time = s.timestamp(req.Time)
-	sig := core.Signature(id)
 	sh := s.shardFor(sig)
 	if s.buffered && !s.closed.Load() {
-		if v, ok := sh.buf.index.Load(id); ok {
+		// The read index is keyed by string, so buffered mode materializes
+		// the ID before its probe; the core call below reuses it on a miss.
+		req.QueryID = core.CanonicalString(key, req.QueryID)
+		if v, ok := sh.buf.index.Load(req.QueryID); ok {
 			// Lock-free hit: serve the payload snapshot and defer the
 			// bookkeeping, charging the request's cost as the locked hit
 			// path would.
@@ -414,7 +416,7 @@ func (s *Sharded) Reference(req core.Request) (hit bool, payload any) {
 		}
 	}
 	sh.mu.Lock()
-	hit, payload = sh.cache.ReferenceCanonical(req, sig)
+	hit, payload, id := sh.cache.ReferenceBytes(req, key, sig)
 	sh.mu.Unlock()
 	sh.observe(s.tuner, id, sig, req.Size, req.Cost, req.Time, req.Relations)
 	return hit, payload
@@ -468,14 +470,15 @@ func (s *Sharded) Load(req core.Request) (payload any, hit bool, err error) {
 		//lint:ignore accounthonesty config error precedes the lookup; the cache was never consulted
 		return nil, false, fmt.Errorf("shard: no Loader configured")
 	}
-	id := core.CompressID(req.QueryID)
-	req.QueryID = id
+	var buf [256]byte
+	key, sig := core.Canonical(buf[:0], req.QueryID)
 	req.Time = s.timestamp(req.Time)
-	sig := core.Signature(id)
 	sh := s.shardFor(sig)
 
 	if s.buffered && !s.closed.Load() {
-		if v, ok := sh.buf.index.Load(id); ok {
+		// As in Reference: the read index is keyed by string.
+		req.QueryID = core.CanonicalString(key, req.QueryID)
+		if v, ok := sh.buf.index.Load(req.QueryID); ok {
 			// Lock-free hit: serve the indexed payload and defer the
 			// bookkeeping, charging the entry's stored cost as the locked
 			// Load hit path (ReferenceEntry) would.
@@ -486,15 +489,19 @@ func (s *Sharded) Load(req core.Request) (payload any, hit bool, err error) {
 	}
 
 	sh.mu.Lock()
-	if e, ok := sh.cache.LookupCanonical(id, sig); ok {
+	if e, ok := sh.cache.LookupBytes(key, sig); ok {
 		// Resident: charge a hit against the entry we just found — no
 		// second index probe inside the critical section.
-		size, cost, rels := e.Size, e.Cost, e.Relations
+		id, size, cost, rels := e.ID, e.Size, e.Cost, e.Relations
 		p := sh.cache.ReferenceEntry(e, req.Time, req.Class)
 		sh.mu.Unlock()
 		sh.observe(s.tuner, id, sig, size, cost, req.Time, rels)
 		return p, true, nil
 	}
+	// Not resident: the singleflight table and every request built below
+	// name the set by string, and the caller's buffer dies with this call.
+	id := core.CanonicalString(key, req.QueryID)
+	req.QueryID = id
 	if f, ok := sh.inflight[id]; ok {
 		// Another caller is executing this query right now: wait for its
 		// result, then charge an ordinary reference (normally a hit, since
@@ -651,19 +658,30 @@ func (s *Sharded) runLoader(f *flight, req core.Request) {
 // Peek reports whether the query's retrieved set is resident, without
 // recording a reference.
 func (s *Sharded) Peek(queryID string) (payload any, ok bool) {
-	id := core.CompressID(queryID)
-	sh := s.shardFor(core.Signature(id))
+	var buf [256]byte
+	id, sig := core.Canonical(buf[:0], queryID)
+	return s.PeekBytes(id, sig)
+}
+
+// PeekBytes is Peek for callers that hold core.Canonical's output and want
+// the canonical ID for their own use as well (GET /v1/explain/{id} keys the
+// flight recorder by it). id is only read during the call.
+func (s *Sharded) PeekBytes(id []byte, sig uint64) (payload any, ok bool) {
+	sh := s.shardFor(sig)
 	if s.buffered {
 		// The read index mirrors residency exactly (it mutates under the
 		// shard lock with the core), so an index hit answers lock-free; a
 		// miss falls through to the authoritative locked probe.
-		if v, ok := sh.buf.index.Load(id); ok {
+		if v, ok := sh.buf.index.Load(string(id)); ok {
 			return v.(*readEntry).payload, true
 		}
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.cache.Peek(id)
+	if e, ok := sh.cache.LookupBytes(id, sig); ok {
+		return e.Payload, true
+	}
+	return nil, false
 }
 
 // Invalidate drops every entry touching any of the given base relations

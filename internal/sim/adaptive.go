@@ -48,16 +48,18 @@ func ReplayAdaptive(tr *trace.Trace, cfg core.Config, tcfg admission.Config) (Ad
 	rounds, switches := 0, 0
 	for i := range tr.Records {
 		rec := &tr.Records[i]
-		id := core.CompressID(rec.QueryID)
-		sig := core.Signature(id)
-		c.ReferenceCanonical(core.Request{
-			QueryID:   id,
+		// The sharded front's sequence: canonicalize and hash once, then
+		// hand the profile the canonical string the core call returns.
+		var buf [256]byte
+		key, sig := core.Canonical(buf[:0], rec.QueryID)
+		_, _, id := c.ReferenceBytes(core.Request{
+			QueryID:   rec.QueryID,
 			Time:      rec.Time,
 			Class:     rec.Class,
 			Size:      rec.Size,
 			Cost:      rec.Cost,
 			Relations: rec.Relations,
-		}, sig)
+		}, key, sig)
 		if profile.Record(admission.Sample{
 			ID: id, Sig: sig, Size: rec.Size, Cost: rec.Cost, Time: rec.Time,
 			Relations: rec.Relations,

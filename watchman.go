@@ -194,11 +194,16 @@ const Unlimited = core.Unlimited
 func New(cfg Config) (*Cache, error) { return core.New(cfg) }
 
 // CompressID canonicalizes a query string into a query ID by collapsing
-// delimiter runs, as §3 of the paper describes.
+// delimiter runs, as §3 of the paper describes. A string that is already
+// canonical is returned as it is. Cache.Reference and Sharded.Reference
+// do this themselves — in one pass with the signature, into a buffer on
+// the stack — so callers need it only to name a set the way the cache
+// does (event IDs, snapshot records, /v1/explain).
 func CompressID(query string) string { return core.CompressID(query) }
 
 // Signature returns the hash signature the cache's lookup index buckets
-// entries by.
+// entries by and the sharded cache routes by: 64-bit FNV-1a over the
+// bytes of a query ID.
 func Signature(id string) uint64 { return core.Signature(id) }
 
 // ShardedConfig parameterizes a Sharded cache: the shard count, the total
