@@ -21,10 +21,12 @@
 //	                      EnableProfiling
 //	GET  /healthz         liveness probe with build info and uptime
 //
-// All bodies are JSON unless noted. Request times are logical seconds; a
-// zero or omitted time means "now" per the cache's time source, so live
-// traffic needs no clock of its own while trace replays can supply exact
-// stamps. /metrics and the per-class /stats sections require the cache to
+// All bodies are JSON unless noted. A POST body is exactly one object with
+// no unknown fields (400 otherwise) of at most 64 MiB (413 over it); see
+// decode.go for how /v1/reference decodes its own. Request times are
+// logical seconds; a zero or omitted time means "now" per the cache's time
+// source, so live traffic needs no clock of its own while trace replays
+// can supply exact stamps. /metrics and the per-class /stats sections require the cache to
 // have a telemetry registry attached (shard.Config.Registry); the debug
 // and explain endpoints require a flight recorder (shard.Config.Recorder).
 package server
@@ -45,10 +47,6 @@ import (
 	"repro/internal/shard"
 	"repro/internal/telemetry"
 )
-
-// maxBodyBytes bounds request bodies; retrieved-set payloads travel in the
-// reference body, so the bound is generous.
-const maxBodyBytes = 64 << 20
 
 // ReferenceRequest is the body of POST /v1/reference. It mirrors
 // core.Request: the client reports the query it is about to run (or has
@@ -229,20 +227,30 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-// decodeBody parses a JSON body with a size cap and strict field checking.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
+// The two payload-less reference replies, byte for byte what writeJSON
+// produces for ReferenceResponse{Hit: …}.
+var (
+	jsonContentType = []string{"application/json"}
+	hitReply        = []byte("{\"hit\":true}\n")
+	missReply       = []byte("{\"hit\":false}\n")
+)
+
+// writeOutcome answers a reference that carries no payload.
+func writeOutcome(w http.ResponseWriter, hit bool) {
+	// The shared slice is never written through: len == cap, so even an
+	// Add by a wrapping handler copies it first.
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(http.StatusOK)
+	if hit {
+		_, _ = w.Write(hitReply)
+	} else {
+		_, _ = w.Write(missReply)
 	}
-	return true
 }
 
 func (s *Server) handleReference(w http.ResponseWriter, r *http.Request) {
-	var req ReferenceRequest
-	if !decodeBody(w, r, &req) {
+	req, ok := decodeReference(w, r)
+	if !ok {
 		return
 	}
 	switch {
@@ -285,6 +293,10 @@ func (s *Server) handleReference(w http.ResponseWriter, r *http.Request) {
 		creq.Plan = req.Plan
 	}
 	hit, payload := s.cache.Reference(creq)
+	if payload == nil {
+		writeOutcome(w, hit)
+		return
+	}
 	writeJSON(w, http.StatusOK, ReferenceResponse{Hit: hit, Payload: payload})
 }
 

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"sync"
 	"testing"
 
@@ -121,6 +122,22 @@ func TestReferenceValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field: status %d, want 400", resp.StatusCode)
 	}
+	// Exactly one JSON value: bytes after it are refused, whichever decoder
+	// the first value would have taken.
+	for _, body := range []string{
+		`{"query_id":"q","size":1,"cost":1} junk`,
+		`{"query_id":"q","size":1,"cost":1} {"query_id":"q","size":1,"cost":1}`,
+		`{"query_id":"q","size":1,"cost":1,"payload":"rows"}]`,
+	} {
+		resp, err = http.Post(ts.URL+"/v1/reference", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("trailing bytes %q: status %d, want 400", body, resp.StatusCode)
+		}
+	}
 }
 
 func TestPeek(t *testing.T) {
@@ -165,6 +182,15 @@ func TestInvalidate(t *testing.T) {
 	resp, _ = postJSON(t, ts.URL+"/v1/invalidate", InvalidateRequest{})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty relations: status %d, want 400", resp.StatusCode)
+	}
+	sc.Reference(shard.Request{QueryID: "again", Time: 20, Size: 64, Cost: 10, Relations: []string{"dim03"}})
+	raw, err := http.Post(ts.URL+"/v1/invalidate", "application/json", strings.NewReader(`{"relations":["dim03"]} junk`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw.Body.Close()
+	if raw.StatusCode != http.StatusBadRequest || sc.Resident() != 1 {
+		t.Errorf("trailing bytes: status %d, resident %d; want 400 and nothing dropped", raw.StatusCode, sc.Resident())
 	}
 }
 
