@@ -212,28 +212,6 @@ func BenchmarkAblationStrictTiers(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationEvictors compares the exact scan evictor with the
-// approximate heap evictor (A3): CSR delta and throughput.
-func BenchmarkAblationEvictors(b *testing.B) {
-	tr := benchTrace(b, "tpcd")
-	capacity := sim.CacheBytesForFraction(tr, 1)
-	for _, kind := range []core.EvictorKind{core.ScanEvictor, core.HeapEvictor} {
-		kind := kind
-		b.Run(kind.String(), func(b *testing.B) {
-			var csr float64
-			for i := 0; i < b.N; i++ {
-				res, err := sim.ReplaySetup(tr, sim.Setup{Policy: core.LNCRA, K: 4, Evictor: kind}, capacity)
-				if err != nil {
-					b.Fatal(err)
-				}
-				csr = res.CSR()
-			}
-			b.ReportMetric(csr, "CSR")
-			b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "refs/s")
-		})
-	}
-}
-
 // BenchmarkExtensionMulticlass runs the §6 multiclass extension (A4).
 func BenchmarkExtensionMulticlass(b *testing.B) {
 	tr := benchTrace(b, "multiclass")
@@ -339,23 +317,21 @@ func BenchmarkCacheReferenceHit(b *testing.B) {
 }
 
 // BenchmarkCacheReferenceMiss measures the miss path — admission test,
-// victim search, eviction — for both evictors at two resident populations:
-// about 1 300 sets, one shard of the bench's zipf_evict_http daemon, and
-// about 20 000, an unsharded shadow (admission-tuner arm, what-if ghost).
-// Keys are Zipf(1.01) over 16× the resident population, so the stream
-// also hits; a hit costs ~100 ns against 5 µs and up for a miss, and
-// ns/miss divides the elapsed time by the misses alone.
+// victim search, eviction — at two resident populations: about 1 300
+// sets, one shard of the bench's zipf_evict_http daemon, and about
+// 20 000, an unsharded shadow (admission-tuner arm, what-if ghost). Keys
+// are Zipf(1.01) over 16× the resident population, so the stream also
+// hits; a hit costs ~100 ns against 5 µs and up for a miss, and ns/miss
+// divides the elapsed time by the misses alone.
 func BenchmarkCacheReferenceMiss(b *testing.B) {
-	for _, kind := range []watchman.EvictorKind{watchman.ScanEvictor, watchman.HeapEvictor} {
-		for _, n := range []int{1300, 20000} {
-			b.Run(fmt.Sprintf("%s/n=%d", kind, n), func(b *testing.B) {
-				benchReferenceMiss(b, kind, n)
-			})
-		}
+	for _, n := range []int{1300, 20000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			benchReferenceMiss(b, n)
+		})
 	}
 }
 
-func benchReferenceMiss(b *testing.B, kind watchman.EvictorKind, n int) {
+func benchReferenceMiss(b *testing.B, n int) {
 	const meanSize = 2048
 	rng := rand.New(rand.NewSource(benchSeed))
 	pop := make([]watchman.Request, 16*n)
@@ -372,7 +348,7 @@ func benchReferenceMiss(b *testing.B, kind watchman.EvictorKind, n int) {
 		keys[i] = uint32(zipf.Uint64())
 	}
 	c, err := watchman.New(watchman.Config{
-		Capacity: int64(n) * meanSize, K: 4, Policy: watchman.LNCRA, Evictor: kind,
+		Capacity: int64(n) * meanSize, K: 4, Policy: watchman.LNCRA,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -454,39 +430,24 @@ func benchShardedHit(b *testing.B, withRegistry bool) {
 	}
 }
 
-// BenchmarkShardedReferenceBuffered measures the contention-free hit path
-// (Buffered: true — lock-free read index, deferred bookkeeping) against
-// the locked baseline on an identical all-hit workload: a 64-query hot set
-// admitted up front, then referenced from every goroutine with
-// precompressed IDs, so the measured work is purely the per-hit path.
+// BenchmarkShardedReferenceSnapshots measures the hit path with and
+// without a concurrent snapshot writer: a 64-query hot set admitted up
+// front, then referenced from every goroutine with precompressed IDs, so
+// the measured work is purely the per-hit path.
 //
-// Two load shapes:
-//
-//   - load=pure: nothing but hits. This exposes the buffered path's
-//     constant per-op cost (index probe + deferred-cell atomics) and, on a
-//     genuinely multi-core machine at -cpu 32, the locked baseline's
-//     mutex-contention collapse. On a single-core host the locked mutexes
-//     never actually contend — timeslicing serializes the goroutines for
-//     free — so the two modes look close there.
+//   - load=pure: nothing but hits.
 //   - load=snapshots: the same hit storm racing a continuous snapshot
 //     writer over a ~100 MB resident population (the production
 //     -snapshot-interval pressure case). The writer runs the streaming
 //     path (Snapshot → StreamSnapshot): each shard leaves in bounded
 //     chunks with the shard lock released between them and every byte
-//     encoded outside all locks, so a locked foreground hit stalls for at
-//     most one chunk copy instead of a full-shard export. Before the
-//     streaming path this collapsed locked-mode throughput three orders
-//     of magnitude (ExportState held each shard's mutex for a
-//     millisecond-scale deep copy). The writer's own allocations are
-//     attributed to the measured loop, so B/op and allocs/op in this
-//     shape describe the writer, not the hit path (the hit path's zero
-//     allocs are asserted by TestBufferedHitPathAllocs and visible in
-//     load=pure).
-//
-// Run with -cpu 1,8,32. Buffered mode also reports the fraction of
-// promotions shed under buffer pressure (their references still count —
-// only the recency/λ signal is dropped).
-func BenchmarkShardedReferenceBuffered(b *testing.B) {
+//     encoded outside all locks, so a foreground hit stalls for at most
+//     one chunk copy instead of a full-shard export. The writer's own
+//     allocations are attributed to the measured loop, so B/op and
+//     allocs/op in this shape describe the writer, not the hit path
+//     (whose zero allocs TestFrontAllocations asserts and load=pure
+//     shows).
+func BenchmarkShardedReferenceSnapshots(b *testing.B) {
 	hot := make([]string, 64)
 	for i := range hot {
 		hot[i] = watchman.CompressID(fmt.Sprintf("hot query %d", i))
@@ -499,64 +460,53 @@ func BenchmarkShardedReferenceBuffered(b *testing.B) {
 		name      string
 		snapshots bool
 	}{{"load=pure", false}, {"load=snapshots", true}} {
-		for _, mode := range []struct {
-			name     string
-			buffered bool
-		}{{"mode=locked", false}, {"mode=buffered", true}} {
-			b.Run(load.name+"/"+mode.name, func(b *testing.B) {
-				capacity := int64(8 << 20)
-				if load.snapshots {
-					capacity = 256 << 20 // hold the filler population: long export copies
+		b.Run(load.name, func(b *testing.B) {
+			capacity := int64(8 << 20)
+			if load.snapshots {
+				capacity = 256 << 20 // hold the filler population: long export copies
+			}
+			sc, err := watchman.NewSharded(watchman.ShardedConfig{
+				Shards: 16,
+				Cache:  watchman.Config{Capacity: capacity, K: 4, Policy: watchman.LNCRA},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i, id := range hot {
+				sc.Reference(watchman.Request{QueryID: id, Time: float64(i + 1), Size: 256, Cost: 100})
+			}
+			var stopExport atomic.Bool
+			exportDone := make(chan struct{})
+			if load.snapshots {
+				for i, id := range filler {
+					sc.Reference(watchman.Request{QueryID: id, Time: float64(i + 64), Size: 2048, Cost: 50})
 				}
-				sc, err := watchman.NewSharded(watchman.ShardedConfig{
-					Shards:   16,
-					Cache:    watchman.Config{Capacity: capacity, K: 4, Policy: watchman.LNCRA},
-					Buffered: mode.buffered,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer sc.Close()
-				for i, id := range hot {
-					sc.Reference(watchman.Request{QueryID: id, Time: float64(i + 1), Size: 256, Cost: 100})
-				}
-				var stopExport atomic.Bool
-				exportDone := make(chan struct{})
-				if load.snapshots {
-					for i, id := range filler {
-						sc.Reference(watchman.Request{QueryID: id, Time: float64(i + 64), Size: 2048, Cost: 50})
+				go func() {
+					defer close(exportDone)
+					for !stopExport.Load() {
+						_ = sc.Snapshot(io.Discard)
 					}
-					go func() {
-						defer close(exportDone)
-						for !stopExport.Load() {
-							_ = sc.Snapshot(io.Discard)
-						}
-					}()
-				} else {
-					close(exportDone)
-				}
-				var seq atomic.Int64
-				b.ReportAllocs()
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					i := int(seq.Add(1)) * 1_000_003
-					for pb.Next() {
-						i++
-						sc.Reference(watchman.Request{QueryID: hot[i&63], Size: 256, Cost: 100})
-					}
-				})
-				b.StopTimer()
-				stopExport.Store(true)
-				<-exportDone
-				sc.Drain()
-				st := sc.Stats()
-				b.ReportMetric(float64(st.Hits)/float64(st.References), "hit-ratio")
-				b.ReportMetric(float64(st.References)/b.Elapsed().Seconds(), "refs/s")
-				if mode.buffered {
-					b.ReportMetric(float64(st.PromotesSkipped)/float64(st.References), "shed-frac")
+				}()
+			} else {
+				close(exportDone)
+			}
+			var seq atomic.Int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				i := int(seq.Add(1)) * 1_000_003
+				for pb.Next() {
+					i++
+					sc.Reference(watchman.Request{QueryID: hot[i&63], Size: 256, Cost: 100})
 				}
 			})
-		}
+			b.StopTimer()
+			stopExport.Store(true)
+			<-exportDone
+			st := sc.Stats()
+			b.ReportMetric(float64(st.Hits)/float64(st.References), "hit-ratio")
+			b.ReportMetric(float64(st.References)/b.Elapsed().Seconds(), "refs/s")
+		})
 	}
 }
 

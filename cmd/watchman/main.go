@@ -228,7 +228,6 @@ func cmdRun(args []string) error {
 	k := fs.Int("k", 4, "reference-window size K")
 	cachePct := fs.Float64("cache-pct", 1, "cache size as % of database size")
 	cacheBytes := fs.Int64("cache-bytes", 0, "cache size in bytes (overrides -cache-pct)")
-	evictor := fs.String("evictor", "scan", "victim search: scan (exact) or heap (near-exact)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -249,12 +248,6 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	ek := core.ScanEvictor
-	if *evictor == "heap" {
-		ek = core.HeapEvictor
-	} else if *evictor != "scan" {
-		return fmt.Errorf("run: unknown evictor %q", *evictor)
-	}
 	capacity := *cacheBytes
 	if capacity <= 0 {
 		capacity = sim.CacheBytesForFraction(tr, *cachePct)
@@ -263,7 +256,6 @@ func cmdRun(args []string) error {
 		Capacity: capacity,
 		K:        *k,
 		Policy:   pk,
-		Evictor:  ek,
 	})
 	if err != nil {
 		return err

@@ -38,44 +38,17 @@ import (
 // shardedFlags is the flag subset shared by serve and loadgen that shapes
 // the sharded cache.
 type shardedFlags struct {
-	policy         *string
-	shards         *int
-	k              *int
-	evictor        *string
-	buffered       *bool
-	promoteBuffer  *int
-	getsPerPromote *int
+	policy *string
+	shards *int
+	k      *int
 }
 
 func addShardedFlags(fs *flag.FlagSet) shardedFlags {
 	return shardedFlags{
-		policy:         fs.String("policy", "lnc-ra", "cache policy"),
-		shards:         fs.Int("shards", 16, "number of cache shards (power of two)"),
-		k:              fs.Int("k", 4, "reference-window size K"),
-		evictor:        fs.String("evictor", "scan", "victim search: scan (exact) or heap (near-exact)"),
-		buffered:       fs.Bool("buffered", false, "serve hits from a lock-free index and apply recency/λ bookkeeping asynchronously (see ARCHITECTURE.md for the consistency trade)"),
-		promoteBuffer:  fs.Int("promote-buffer", 0, "buffered mode: per-shard promotion queue depth (0 = default; needs -buffered)"),
-		getsPerPromote: fs.Int("gets-per-promote", 1, "buffered mode: apply bookkeeping for 1 in N hits per entry (1 = every hit; needs -buffered)"),
+		policy: fs.String("policy", "lnc-ra", "cache policy"),
+		shards: fs.Int("shards", 16, "number of cache shards (power of two)"),
+		k:      fs.Int("k", 4, "reference-window size K"),
 	}
-}
-
-// check rejects buffered-mode tuning flags when -buffered is off, rather
-// than silently ignoring them (same strictness as loadgen's -addr).
-func (f shardedFlags) check(fs *flag.FlagSet) error {
-	if *f.buffered {
-		return nil
-	}
-	var ignored []string
-	fs.Visit(func(fl *flag.Flag) {
-		switch fl.Name {
-		case "promote-buffer", "gets-per-promote":
-			ignored = append(ignored, "-"+fl.Name+" (needs -buffered)")
-		}
-	})
-	if len(ignored) > 0 {
-		return fmt.Errorf("%s", strings.Join(ignored, ", "))
-	}
-	return nil
 }
 
 // coreConfig resolves the flags into a per-cache configuration.
@@ -84,18 +57,7 @@ func (f shardedFlags) coreConfig(capacity int64) (core.Config, error) {
 	if err != nil {
 		return core.Config{}, err
 	}
-	ek := core.ScanEvictor
-	if *f.evictor == "heap" {
-		ek = core.HeapEvictor
-	} else if *f.evictor != "scan" {
-		return core.Config{}, fmt.Errorf("unknown evictor %q", *f.evictor)
-	}
-	return core.Config{
-		Capacity: capacity,
-		K:        *f.k,
-		Policy:   pk,
-		Evictor:  ek,
-	}, nil
+	return core.Config{Capacity: capacity, K: *f.k, Policy: pk}, nil
 }
 
 // build constructs the sharded cache from the parsed flags. rec may be
@@ -105,14 +67,7 @@ func (f shardedFlags) build(capacity int64, rec *flight.Recorder) (*shard.Sharde
 	if err != nil {
 		return nil, err
 	}
-	return shard.New(shard.Config{
-		Shards:         *f.shards,
-		Cache:          cfg,
-		Recorder:       rec,
-		Buffered:       *f.buffered,
-		PromoteBuffer:  *f.promoteBuffer,
-		GetsPerPromote: *f.getsPerPromote,
-	})
+	return shard.New(shard.Config{Shards: *f.shards, Cache: cfg, Recorder: rec})
 }
 
 func cmdServe(args []string) error {
@@ -154,9 +109,6 @@ func cmdServe(args []string) error {
 			return fmt.Errorf("serve: %s", strings.Join(ignored, ", "))
 		}
 	}
-	if err := sf.check(fs); err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
 	if *flightSample < 1 {
 		return fmt.Errorf("serve: -flight-sample must be at least 1, got %d", *flightSample)
 	}
@@ -173,7 +125,6 @@ func cmdServe(args []string) error {
 		tuner, err = admission.New(admission.Config{
 			Capacity: *cacheBytes,
 			K:        cfg.K,
-			Evictor:  cfg.Evictor,
 			Window:   *tuneWindow,
 		})
 		if err != nil {
@@ -210,16 +161,13 @@ func cmdServe(args []string) error {
 		}
 	}
 	sc, err := shard.New(shard.Config{
-		Shards:         *sf.shards,
-		Cache:          cfg,
-		Tuner:          tuner,
-		Registry:       reg,
-		Deriver:        deriver,
-		Recorder:       rec,
-		WhatIf:         ghosts,
-		Buffered:       *sf.buffered,
-		PromoteBuffer:  *sf.promoteBuffer,
-		GetsPerPromote: *sf.getsPerPromote,
+		Shards:   *sf.shards,
+		Cache:    cfg,
+		Tuner:    tuner,
+		Registry: reg,
+		Deriver:  deriver,
+		Recorder: rec,
+		WhatIf:   ghosts,
 	})
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
@@ -271,9 +219,6 @@ func cmdServe(args []string) error {
 	if tuner != nil {
 		policyDesc += " adaptive"
 	}
-	if *sf.buffered {
-		policyDesc += " buffered"
-	}
 	if deriver != nil {
 		policyDesc += " +derive"
 	}
@@ -301,10 +246,8 @@ func cmdServe(args []string) error {
 	defer cancel()
 	fmt.Fprintln(os.Stderr, "watchman: shutting down")
 	err = srv.Shutdown(shutCtx)
-	// Flush the buffered hit applications before the final snapshot: once
-	// the listener has drained, no new references arrive, so Close leaves
-	// every deferred promotion applied and the export below captures the
-	// same state a fully quiesced cache would. No-op when not -buffered.
+	// Stop the what-if worker once the listener has drained: no new
+	// references arrive, so the ghosts have seen the whole stream.
 	sc.Close()
 	if snapshotter != nil {
 		// Final flush after the listener drains: everything learned since
@@ -353,9 +296,6 @@ func cmdLoadgen(args []string) error {
 	if *jsonOut && *slowlog > 0 {
 		return fmt.Errorf("loadgen: -slowlog prints a table and would corrupt the -json line; drop one")
 	}
-	if err := sf.check(fs); err != nil {
-		return fmt.Errorf("loadgen: %w", err)
-	}
 	if *addr != "" {
 		if *compareSerial {
 			return fmt.Errorf("loadgen: -compare-serial needs the in-process cache; drop -addr")
@@ -366,8 +306,7 @@ func cmdLoadgen(args []string) error {
 		var ignored []string
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "policy", "shards", "k", "evictor", "cache-pct", "cache-bytes",
-				"buffered", "promote-buffer", "gets-per-promote":
+			case "policy", "shards", "k", "cache-pct", "cache-bytes":
 				ignored = append(ignored, "-"+f.Name)
 			}
 		})
@@ -465,9 +404,6 @@ func cmdLoadgen(args []string) error {
 	t.AddRow("p50 latency", p50.String())
 	t.AddRow("p99 latency", p99.String())
 	if sc != nil {
-		// Buffered mode: apply every queued promotion before reading stats,
-		// so the numbers below describe the whole replay (no-op otherwise).
-		sc.Drain()
 		st := sc.Stats()
 		sum.CSR = ptr(st.CostSavingsRatio())
 		sum.HitRatio = ptr(st.HitRatio())
@@ -479,12 +415,6 @@ func cmdLoadgen(args []string) error {
 		t.AddRow("admissions", fmt.Sprint(st.Admissions))
 		t.AddRow("evictions", fmt.Sprint(st.Evictions))
 		t.AddRow("resident sets", fmt.Sprint(sc.Resident()))
-		if *sf.buffered {
-			sum.BufferedHits = ptr(st.BufferedHits)
-			sum.PromotesShed = ptr(st.PromotesSkipped)
-			t.AddRow("buffered hits", fmt.Sprint(st.BufferedHits))
-			t.AddRow("promotions shed", fmt.Sprint(st.PromotesSkipped))
-		}
 		if tn := sc.Tuner(); tn != nil {
 			sum.Theta = ptr(tn.Threshold())
 		}
@@ -533,7 +463,7 @@ func cmdLoadgen(args []string) error {
 
 // loadgenSummary is the -json shape of the final run report: one line,
 // mirroring the human-readable table. Pointer fields appear only when the
-// run produced them (in-process vs remote, buffered, -compare-serial,
+// run produced them (in-process vs remote, -compare-serial,
 // adaptive admission).
 type loadgenSummary struct {
 	Trace        string   `json:"trace"`
@@ -550,8 +480,6 @@ type loadgenSummary struct {
 	Admissions   int64    `json:"admissions,omitempty"`
 	Evictions    int64    `json:"evictions,omitempty"`
 	Resident     int      `json:"resident,omitempty"`
-	BufferedHits *int64   `json:"buffered_hits,omitempty"`
-	PromotesShed *int64   `json:"promotes_shed,omitempty"`
 	Theta        *float64 `json:"theta,omitempty"`
 	SerialCSR    *float64 `json:"serial_csr,omitempty"`
 	CSRDelta     *float64 `json:"csr_delta,omitempty"`

@@ -27,7 +27,7 @@ func writeTestTrace(t *testing.T) string {
 func TestShardedFlagsBuild(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	sf := addShardedFlags(fs)
-	if err := fs.Parse([]string{"-policy", "lnc-ra", "-shards", "8", "-k", "2", "-evictor", "heap"}); err != nil {
+	if err := fs.Parse([]string{"-policy", "lnc-ra", "-shards", "8", "-k", "2"}); err != nil {
 		t.Fatal(err)
 	}
 	sc, err := sf.build(1<<20, nil)
@@ -38,14 +38,6 @@ func TestShardedFlagsBuild(t *testing.T) {
 		t.Errorf("shards = %d", sc.NumShards())
 	}
 
-	fs = flag.NewFlagSet("x", flag.ContinueOnError)
-	sf = addShardedFlags(fs)
-	if err := fs.Parse([]string{"-evictor", "bogus"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sf.build(1<<20, nil); err == nil {
-		t.Error("bogus evictor must error")
-	}
 	fs = flag.NewFlagSet("x", flag.ContinueOnError)
 	sf = addShardedFlags(fs)
 	if err := fs.Parse([]string{"-policy", "bogus"}); err != nil {

@@ -53,7 +53,7 @@ type Config struct {
 	// K is the reference-window size of the shadow caches. Zero selects
 	// the live default (4).
 	K int
-	// Evictor selects the shadow caches' victim-search structure.
+	// Evictor is ignored: the shadows use the one victim search there is.
 	Evictor core.EvictorKind
 	// Window is the number of recorded references per tuning round; it
 	// must be at least 16 (smaller windows carry no tuning signal and are
@@ -198,7 +198,6 @@ func New(cfg Config) (*Tuner, error) {
 			Capacity: cfg.Capacity,
 			K:        cfg.K,
 			Policy:   core.LNCRA,
-			Evictor:  cfg.Evictor,
 			Admitter: NewStaticAdmitter(theta),
 		})
 		if err != nil {

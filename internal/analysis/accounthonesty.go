@@ -10,15 +10,15 @@ package analysis
 // functions, exactly where a refactor quietly loses one; this analyzer
 // walks every return path and demands a dominating accounting call.
 //
-// What counts as accounting: a call whose bare name is "Account" or
-// "ApplyHit", any name beginning with "Reference" or "reference"
-// (ReferenceCanonical, ReferenceEntry, ReferenceExecuted,
-// ReferenceDerived, core's internal reference), and any same-package
-// function annotated //watchman:accounting (shard's accountExternal and
-// fastHit). The path analysis is structural: an if/else (or a
-// switch/select with a default) guarantees accounting only when every
-// branch does; loop bodies guarantee nothing (they may run zero times);
-// a deferred accounting call covers every return after the defer.
+// What counts as accounting: a call whose bare name is "Account", any
+// name beginning with "Reference" or "reference" (ReferenceCanonical,
+// ReferenceEntry, ReferenceExecuted, ReferenceDerived, core's internal
+// reference), and any same-package function annotated
+// //watchman:accounting (shard's accountExternal). The path analysis is
+// structural: an if/else (or a switch/select with a default) guarantees
+// accounting only when every branch does; loop bodies guarantee nothing
+// (they may run zero times); a deferred accounting call covers every
+// return after the defer.
 
 import (
 	"go/ast"
@@ -30,7 +30,7 @@ import (
 var AccountHonesty = &Analyzer{
 	Name: "accounthonesty",
 	Doc: "every return path of a //watchman:accounted function must charge the " +
-		"reference first (Account, ApplyHit, Reference*, or a same-package " +
+		"reference first (Account, Reference*, or a same-package " +
 		"//watchman:accounting function) — the PR 3 honesty contract on " +
 		"shard.Load bypass paths",
 	Run: runAccountHonesty,
@@ -39,7 +39,7 @@ var AccountHonesty = &Analyzer{
 // runAccountHonesty collects the package's accounting vocabulary, then
 // walks every annotated function.
 func runAccountHonesty(pass *Pass) error {
-	vocab := map[string]bool{"Account": true, "ApplyHit": true}
+	vocab := map[string]bool{"Account": true}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			if fn, ok := decl.(*ast.FuncDecl); ok && funcDirective(fn, "//watchman:accounting") {
@@ -85,7 +85,7 @@ func (w *accountWalker) stmt(s ast.Stmt, acc bool) bool {
 	case *ast.ReturnStmt:
 		if !acc && !w.hasAccounting(s) {
 			w.pass.Report(s.Pos(),
-				"return path is not dominated by an accounting call (Account/ApplyHit/Reference*/"+
+				"return path is not dominated by an accounting call (Account/Reference*/"+
 					"//watchman:accounting); a reference that consulted the cache must be charged")
 		}
 		return acc

@@ -1,10 +1,10 @@
 package analysis
 
 // hotpathalloc: functions annotated //watchman:hotpath may not contain
-// allocating constructs. PRs 7 and 9 hold the buffered hit path and the
-// unsampled what-if tax to zero allocations per reference — properties
-// pinned by allocation benchmarks, but only at the call sites the
-// benchmarks drive. The annotation turns the property into a reviewable
+// allocating constructs. The reference front's hit path and the unsampled
+// what-if tax cost zero allocations per reference — properties pinned by
+// allocation tests and benchmarks, but only at the call sites they
+// drive. The annotation turns the property into a reviewable
 // contract on the function itself: fmt calls, map/slice literals, makes,
 // news, string conversions, growing appends, capturing closures and
 // composite-value interface boxing are all flagged. One conversion is

@@ -16,7 +16,8 @@ type Config struct {
 	K int
 	// Policy selects the replacement/admission algorithm.
 	Policy PolicyKind
-	// Evictor selects the victim-search structure (scan or heap).
+	// Evictor names the victim-search structure; ScanEvictor (the zero
+	// value) is the only one.
 	Evictor EvictorKind
 	// MetadataOverhead is the space in bytes charged against Capacity for
 	// every entry record, resident or retained. The paper's §2.4 retained-
@@ -253,6 +254,9 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.MetadataOverhead < 0 {
 		return nil, fmt.Errorf("core: negative metadata overhead %d", cfg.MetadataOverhead)
 	}
+	if cfg.Evictor != ScanEvictor {
+		return nil, fmt.Errorf("core: unknown evictor kind %d", cfg.Evictor)
+	}
 	if cfg.RetainedPruneEvery <= 0 {
 		cfg.RetainedPruneEvery = defaultPruneEvery
 	}
@@ -284,7 +288,7 @@ func New(cfg Config) (*Cache, error) {
 	return &Cache{
 		cfg:      cfg,
 		index:    make(map[uint64][]*Entry),
-		ev:       newEvictor(cfg.Evictor, ranker{policy: cfg.Policy, strictTiers: cfg.StrictTiers}),
+		ev:       newEvictor(ranker{policy: cfg.Policy, strictTiers: cfg.StrictTiers}),
 		admitter: admitter,
 		deriver:  cfg.Deriver,
 		sinks:    sinks,
@@ -379,12 +383,6 @@ func (c *Cache) Lookup(queryID string) (*Entry, bool) {
 	var buf [256]byte
 	id, sig := Canonical(buf[:0], queryID)
 	return c.LookupBytes(id, sig)
-}
-
-// LookupCanonical is Lookup for callers that already hold the compressed
-// query ID and its signature.
-func (c *Cache) LookupCanonical(id string, sig uint64) (*Entry, bool) {
-	return resident(c.lookup(id, sig))
 }
 
 // LookupBytes is Lookup for callers that hold Canonical's output. id is
@@ -483,7 +481,7 @@ func (c *Cache) begin(req *Request) (now float64) {
 }
 
 // ReferenceEntry charges a hit against a resident entry previously
-// returned by Lookup/LookupCanonical, using the entry's stored size and
+// returned by Lookup/LookupBytes, using the entry's stored size and
 // cost but the referencing request's class (matching Reference, which
 // attributes hits to the submitting class, not the admitting one). It is
 // the single-lookup hit path for concurrent front-ends: the caller has
@@ -498,29 +496,6 @@ func (c *Cache) ReferenceEntry(e *Entry, t float64, class int) (payload any) {
 	c.spanEntry(e, now)
 	c.spanFinish(EventHit)
 	return e.Payload
-}
-
-// ApplyHit charges a hit whose payload was already served elsewhere — the
-// buffered shard front answers hits from a lock-free read index and
-// defers the bookkeeping here, applied in batches under the shard lock.
-// Unlike ReferenceEntry it charges the referencing request's cost rather
-// than the entry's stored cost, so a deferred application is bit-identical
-// to the serial Reference hit path. t is the reference's original logical
-// time; tick's clamp tolerates the out-of-order timestamps a queue
-// introduces (time never runs backwards, late applications charge at the
-// current clock). queueNanos, when positive, is attributed to StageApply:
-// the time the promotion spent queued between the lock-free hit and its
-// application.
-//
-//watchman:hotpath
-func (c *Cache) ApplyHit(e *Entry, t float64, class int, cost float64, queueNanos int64) {
-	now := c.tick(t, cost)
-	c.spanBegin(e.ID, class, e.Size, cost, now)
-	c.spanCharge(StageApply, queueNanos)
-	c.spanStage(StageLookup) // the front's lock-free probe located the entry
-	c.chargeHit(e, cost, class, now)
-	c.spanEntry(e, now)
-	c.spanFinish(EventHit)
 }
 
 // Account charges one reference into Stats without running the lookup or

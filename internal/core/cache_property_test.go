@@ -35,13 +35,11 @@ func replayRandom(cfg Config, seed int64, n int) (*Cache, error) {
 	return c, nil
 }
 
-// allSetups enumerates the policy/evictor grid the property tests cover.
+// allSetups enumerates the policy grid the property tests cover.
 func allSetups() []Config {
 	var out []Config
 	for _, p := range []PolicyKind{LRU, LRUK, LFU, LCS, LNCR, LNCRA} {
-		for _, ev := range []EvictorKind{ScanEvictor, HeapEvictor} {
-			out = append(out, Config{Capacity: 2000, K: 3, Policy: p, Evictor: ev})
-		}
+		out = append(out, Config{Capacity: 2000, K: 3, Policy: p})
 	}
 	// Variants: strict tiers, disabled retention, metadata overhead.
 	out = append(out,
@@ -56,8 +54,8 @@ func allSetups() []Config {
 func TestPropertyInvariantsAcrossPolicies(t *testing.T) {
 	for _, cfg := range allSetups() {
 		cfg := cfg
-		name := fmt.Sprintf("%s-%s-strict%v-ret%v-meta%d-cap%d",
-			cfg.Policy, cfg.Evictor, cfg.StrictTiers, !cfg.DisableRetainedInfo, cfg.MetadataOverhead, cfg.Capacity)
+		name := fmt.Sprintf("%s-scan-strict%v-ret%v-meta%d-cap%d",
+			cfg.Policy, cfg.StrictTiers, !cfg.DisableRetainedInfo, cfg.MetadataOverhead, cfg.Capacity)
 		t.Run(name, func(t *testing.T) {
 			for seed := int64(0); seed < 5; seed++ {
 				c, err := replayRandom(cfg, seed, 800)
@@ -177,39 +175,4 @@ func approxEq(a, b float64) bool {
 		d = -d
 	}
 	return d < 1e-9
-}
-
-func TestPropertyScanHeapSameStaticPolicies(t *testing.T) {
-	// For static-key policies the two evictors must produce identical
-	// replay statistics (they select identical victims).
-	for _, p := range []PolicyKind{LRU, LFU, LCS} {
-		scan, err := replayRandom(Config{Capacity: 2500, K: 2, Policy: p, Evictor: ScanEvictor}, 5, 1200)
-		if err != nil {
-			t.Fatal(err)
-		}
-		heap, err := replayRandom(Config{Capacity: 2500, K: 2, Policy: p, Evictor: HeapEvictor}, 5, 1200)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if scan.Stats() != heap.Stats() {
-			t.Fatalf("%s: evictors disagree:\nscan %+v\nheap %+v", p, scan.Stats(), heap.Stats())
-		}
-	}
-}
-
-func TestPropertyHeapEvictorCloseToScanForLNC(t *testing.T) {
-	// LNC profits decay over time, so the heap evictor is approximate; its
-	// CSR must stay within a few percent of the exact scan evictor.
-	scan, err := replayRandom(Config{Capacity: 2500, K: 3, Policy: LNCRA, Evictor: ScanEvictor}, 11, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	heap, err := replayRandom(Config{Capacity: 2500, K: 3, Policy: LNCRA, Evictor: HeapEvictor}, 11, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, h := scan.Stats().CostSavingsRatio(), heap.Stats().CostSavingsRatio()
-	if d := s - h; d > 0.1 || d < -0.1 {
-		t.Fatalf("heap evictor diverges: scan CSR %.3f vs heap CSR %.3f", s, h)
-	}
 }

@@ -21,10 +21,3 @@ var spanEpoch = time.Now()
 // monotonicNanos returns nanoseconds elapsed on the monotonic clock since
 // process start (strictly: since package initialization).
 func monotonicNanos() int64 { return int64(time.Since(spanEpoch)) }
-
-// MonotonicNanos exposes the span clock to callers that attribute
-// externally measured durations to a stage — the buffered shard front
-// stamps promotions at enqueue time and charges the queue delay to
-// StageApply when the worker applies them. Comparable only with other
-// readings from the same process.
-func MonotonicNanos() int64 { return monotonicNanos() }

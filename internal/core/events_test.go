@@ -78,7 +78,7 @@ func checkTallyMatches(t *testing.T, c *Cache, tally *eventTally) {
 func TestPropertyEventsMatchStats(t *testing.T) {
 	for _, cfg := range allSetups() {
 		cfg := cfg
-		name := fmt.Sprintf("%s-%s-meta%d-cap%d", cfg.Policy, cfg.Evictor, cfg.MetadataOverhead, cfg.Capacity)
+		name := fmt.Sprintf("%s-scan-meta%d-cap%d", cfg.Policy, cfg.MetadataOverhead, cfg.Capacity)
 		t.Run(name, func(t *testing.T) {
 			for seed := int64(0); seed < 5; seed++ {
 				tally := &eventTally{}

@@ -1,32 +1,16 @@
 package core
 
-import "container/heap"
-
-// EvictorKind selects the victim-search data structure. Both produce
-// candidates in the policy's (tier, key) order; they trade exactness for
-// speed and are compared in the A3 ablation benchmark.
+// EvictorKind names the victim-search structure. ScanEvictor is the only
+// one; Config.Evictor survives for callers that still name it, and New
+// rejects any other value.
 type EvictorKind int
 
-const (
-	// ScanEvictor recomputes every entry's rank at selection time and
-	// orders only the victims. Exact; for k victims among n residents an
-	// O(n) rank pass plus an O(k log k) select (O(n log k) if residents
-	// happen to be visited in descending rank order), with no per-miss
-	// allocation beyond the victim list.
-	ScanEvictor EvictorKind = iota
-	// HeapEvictor keeps per-policy heaps with lazily refreshed keys.
-	// Near-exact for time-decaying keys (LNC profits), exact for static
-	// keys, O(k log n) per eviction.
-	HeapEvictor
-)
-
-// String names the evictor kind.
-func (k EvictorKind) String() string {
-	if k == HeapEvictor {
-		return "heap"
-	}
-	return "scan"
-}
+// ScanEvictor recomputes every entry's rank at selection time and orders
+// only the victims. Exact; for k victims among n residents an O(n) rank
+// pass plus an O(k log k) select (O(n log k) if residents happen to be
+// visited in descending rank order), with no per-miss allocation beyond
+// the victim list.
+const ScanEvictor EvictorKind = 0
 
 // evictor maintains the set of resident entries and selects eviction
 // candidates.
@@ -45,41 +29,7 @@ type evictor interface {
 	residents() []*Entry
 }
 
-func newEvictor(kind EvictorKind, r ranker) evictor {
-	if kind == HeapEvictor {
-		return &heapEvictor{r: r, items: make(map[*Entry]*heapItem)}
-	}
-	return &scanEvictor{r: r}
-}
-
-// residentList is the dense list of resident entries both evictors keep:
-// Entry.evIdx holds each member's position, so removal is a swap with the
-// last element instead of a map delete, and walking the residents touches
-// one contiguous slice.
-type residentList struct {
-	list []*Entry
-}
-
-func (l *residentList) add(e *Entry) {
-	e.evIdx = len(l.list)
-	l.list = append(l.list, e)
-}
-
-// remove drops e and reports whether it was a member.
-func (l *residentList) remove(e *Entry) bool {
-	i, last := e.evIdx, len(l.list)-1
-	if i > last || l.list[i] != e {
-		return false
-	}
-	l.list[i] = l.list[last]
-	l.list[i].evIdx = i
-	l.list[last] = nil
-	l.list = l.list[:last]
-	return true
-}
-
-func (l *residentList) count() int          { return len(l.list) }
-func (l *residentList) residents() []*Entry { return l.list }
+func newEvictor(r ranker) evictor { return &scanEvictor{r: r} }
 
 // ranked is an entry with its eviction rank at selection time.
 type ranked struct {
@@ -102,17 +52,36 @@ func (a ranked) before(b ranked) bool {
 
 // scanEvictor: exact selection. Every resident is ranked at selection
 // time, but only the prefix that will be returned is ever ordered.
+// Residents live in one dense list with Entry.evIdx holding each member's
+// position, so removal is a swap with the last element instead of a map
+// delete, and the rank pass walks one contiguous slice.
 type scanEvictor struct {
-	r ranker
-	residentList
+	r    ranker
+	list []*Entry
 	// prefix is the selection scratch, reused across calls and empty (all
 	// zero) between them.
 	prefix []ranked
 }
 
-func (s *scanEvictor) add(e *Entry, _ float64) { s.residentList.add(e) }
-func (s *scanEvictor) remove(e *Entry)         { s.residentList.remove(e) }
-func (s *scanEvictor) touch(*Entry, float64)   {}
+func (s *scanEvictor) add(e *Entry, _ float64) {
+	e.evIdx = len(s.list)
+	s.list = append(s.list, e)
+}
+
+func (s *scanEvictor) remove(e *Entry) {
+	i, last := e.evIdx, len(s.list)-1
+	if i > last || s.list[i] != e {
+		return
+	}
+	s.list[i] = s.list[last]
+	s.list[i].evIdx = i
+	s.list[last] = nil
+	s.list = s.list[:last]
+}
+
+func (s *scanEvictor) touch(*Entry, float64) {}
+func (s *scanEvictor) count() int            { return len(s.list) }
+func (s *scanEvictor) residents() []*Entry   { return s.list }
 
 func (s *scanEvictor) candidates(need int64, now float64) []*Entry {
 	if cap(s.prefix) < len(s.list) {
@@ -209,122 +178,4 @@ func popMax(h []ranked) []ranked {
 	}
 	h[i] = x
 	return h
-}
-
-// heapEvictor: lazy min-heap keyed by (tier, key) captured at push time.
-// Keys may go stale between touches (LNC profits decay as time advances);
-// candidates refreshes stale keys at most once per entry per call, which
-// bounds the work and makes the selection near-exact.
-type heapItem struct {
-	e    *Entry // nil when the item is stale
-	tier int
-	key  float64
-	id   string
-}
-
-type itemHeap []*heapItem
-
-func (h itemHeap) Len() int { return len(h) }
-func (h itemHeap) Less(i, j int) bool {
-	if h[i].tier != h[j].tier {
-		return h[i].tier < h[j].tier
-	}
-	if h[i].key != h[j].key {
-		return h[i].key < h[j].key
-	}
-	return h[i].id < h[j].id
-}
-func (h itemHeap) Swap(i, j int)          { h[i], h[j] = h[j], h[i] }
-func (h *itemHeap) Push(x any)            { *h = append(*h, x.(*heapItem)) }
-func (h *itemHeap) Pop() any              { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
-func (h itemHeap) Peek() *heapItem        { return h[0] }
-func (h itemHeap) Empty() bool            { return len(h) == 0 }
-func (h itemHeap) stale(i *heapItem) bool { return i.e == nil }
-
-type heapEvictor struct {
-	r ranker
-	residentList
-	h     itemHeap
-	items map[*Entry]*heapItem
-}
-
-func (he *heapEvictor) push(e *Entry, now float64) {
-	t, k := he.r.rank(e, now)
-	it := &heapItem{e: e, tier: t, key: k, id: e.ID}
-	he.items[e] = it
-	heap.Push(&he.h, it)
-}
-
-func (he *heapEvictor) add(e *Entry, now float64) {
-	he.push(e, now)
-	he.residentList.add(e)
-}
-
-func (he *heapEvictor) remove(e *Entry) {
-	if he.residentList.remove(e) {
-		he.items[e].e = nil // lazy delete
-		delete(he.items, e)
-	}
-}
-
-func (he *heapEvictor) touch(e *Entry, now float64) {
-	if it, ok := he.items[e]; ok {
-		it.e = nil
-	}
-	he.push(e, now)
-}
-
-// compact drops stale items when they dominate the heap.
-func (he *heapEvictor) compact() {
-	if len(he.h) < 64 || len(he.h) < 4*he.count() {
-		return
-	}
-	live := he.h[:0]
-	for _, it := range he.h {
-		if it.e != nil {
-			live = append(live, it)
-		}
-	}
-	he.h = live
-	heap.Init(&he.h)
-}
-
-func (he *heapEvictor) candidates(need int64, now float64) []*Entry {
-	he.compact()
-	var out []*Entry
-	var popped []*heapItem
-	refreshed := make(map[*Entry]bool)
-	var freed int64
-	for freed < need && !he.h.Empty() {
-		it := heap.Pop(&he.h).(*heapItem)
-		e := it.e
-		if e == nil {
-			continue // stale
-		}
-		if !refreshed[e] {
-			refreshed[e] = true
-			// Refresh the key once per entry per call: stored LNC profits
-			// decay between touches, so re-rank and re-insert to restore
-			// ordering against the rest of the heap.
-			t, k := he.r.rank(e, now)
-			if t != it.tier || k != it.key {
-				it.e = nil
-				fresh := &heapItem{e: e, tier: t, key: k, id: e.ID}
-				he.items[e] = fresh
-				heap.Push(&he.h, fresh)
-				continue
-			}
-		}
-		out = append(out, e)
-		popped = append(popped, it)
-		freed += e.Size
-	}
-	// Non-destructive: restore popped items.
-	for _, it := range popped {
-		heap.Push(&he.h, it)
-	}
-	if freed >= need {
-		return out
-	}
-	return nil
 }

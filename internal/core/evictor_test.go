@@ -80,7 +80,7 @@ func TestScanEvictorMatchesSortOracle(t *testing.T) {
 				const k = 3
 				rng := rand.New(rand.NewSource(int64(policy)*2 + 11))
 				r := ranker{policy: policy, strictTiers: strict}
-				scan, oracle := newEvictor(ScanEvictor, r), newSortEvictor(r)
+				scan, oracle := newEvictor(r), newSortEvictor(r)
 				ids := rng.Perm(2000)
 				var live []*Entry
 				now := 0.0
@@ -276,7 +276,7 @@ func TestScanEvictorReplayMatchesSortOracle(t *testing.T) {
 // allocation per call, the returned victim list. That list must be fresh
 // each time: admission and rejection events retain it.
 func TestScanEvictorCandidatesAllocatesOnlyVictims(t *testing.T) {
-	ev := newEvictor(ScanEvictor, ranker{policy: LNCRA})
+	ev := newEvictor(ranker{policy: LNCRA})
 	rng := rand.New(rand.NewSource(5))
 	var total int64
 	for i := 0; i < 500; i++ {
@@ -301,7 +301,7 @@ func TestScanEvictorCandidatesAllocatesOnlyVictims(t *testing.T) {
 }
 
 func TestScanEvictorMinimalPrefix(t *testing.T) {
-	ev := newEvictor(ScanEvictor, ranker{policy: LCS})
+	ev := newEvictor(ranker{policy: LCS})
 	sizes := []int64{100, 300, 50, 200}
 	for i, s := range sizes {
 		ev.add(mkEntry(fmt.Sprintf("e%d", i), s, 1, 1, float64(i)), float64(i))
@@ -322,7 +322,7 @@ func sizesOf(es []*Entry) []int64 {
 }
 
 func TestScanEvictorInsufficient(t *testing.T) {
-	ev := newEvictor(ScanEvictor, ranker{policy: LRU})
+	ev := newEvictor(ranker{policy: LRU})
 	ev.add(mkEntry("a", 10, 1, 1, 1), 1)
 	if c := ev.candidates(100, 5); c != nil {
 		t.Fatalf("expected nil when space cannot be covered, got %v", sizesOf(c))
@@ -330,7 +330,7 @@ func TestScanEvictorInsufficient(t *testing.T) {
 }
 
 func TestScanEvictorRemove(t *testing.T) {
-	ev := newEvictor(ScanEvictor, ranker{policy: LRU})
+	ev := newEvictor(ranker{policy: LRU})
 	a := mkEntry("a", 10, 1, 1, 1)
 	b := mkEntry("b", 10, 1, 1, 2)
 	ev.add(a, 1)
@@ -347,142 +347,12 @@ func TestScanEvictorRemove(t *testing.T) {
 
 func TestScanEvictorDeterministicTies(t *testing.T) {
 	// Entries with identical rank keys must be ordered by ID.
-	ev := newEvictor(ScanEvictor, ranker{policy: LRU})
+	ev := newEvictor(ranker{policy: LRU})
 	for _, id := range []string{"zeta", "alpha", "mid"} {
 		ev.add(mkEntry(id, 10, 1, 1, 5), 5)
 	}
 	c := ev.candidates(20, 9)
 	if len(c) != 2 || c[0].ID != "alpha" || c[1].ID != "mid" {
 		t.Fatalf("tie-break order wrong: %v", []string{c[0].ID, c[1].ID})
-	}
-}
-
-func TestHeapEvictorMatchesScanOnStaticKeys(t *testing.T) {
-	// For policies with static keys (LRU, LFU, LCS), scan and heap must
-	// select identical candidate lists.
-	for _, policy := range []PolicyKind{LRU, LFU, LCS} {
-		t.Run(policy.String(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(7))
-			scan := newEvictor(ScanEvictor, ranker{policy: policy})
-			heapE := newEvictor(HeapEvictor, ranker{policy: policy})
-			var entries []*Entry
-			now := 0.0
-			for i := 0; i < 200; i++ {
-				now += rng.Float64()
-				e := mkEntry(fmt.Sprintf("e%03d", i), rng.Int63n(100)+1, float64(rng.Intn(1000)+1), 2, now)
-				entries = append(entries, e)
-				scan.add(e, now)
-				heapE.add(e, now)
-			}
-			// Touch a random subset to vary the keys.
-			for i := 0; i < 100; i++ {
-				now += rng.Float64()
-				e := entries[rng.Intn(len(entries))]
-				e.window.record(now)
-				scan.touch(e, now)
-				heapE.touch(e, now)
-			}
-			for _, need := range []int64{1, 50, 500, 2000} {
-				cs := scan.candidates(need, now+10)
-				ch := heapE.candidates(need, now+10)
-				if len(cs) != len(ch) {
-					t.Fatalf("need %d: scan %d candidates, heap %d", need, len(cs), len(ch))
-				}
-				for i := range cs {
-					if cs[i] != ch[i] {
-						t.Fatalf("need %d: candidate %d differs: %s vs %s", need, i, cs[i].ID, ch[i].ID)
-					}
-				}
-			}
-		})
-	}
-}
-
-func TestHeapEvictorNonDestructive(t *testing.T) {
-	ev := newEvictor(HeapEvictor, ranker{policy: LRU})
-	for i := 0; i < 10; i++ {
-		ev.add(mkEntry(fmt.Sprintf("e%d", i), 10, 1, 1, float64(i)), float64(i))
-	}
-	first := ev.candidates(30, 20)
-	second := ev.candidates(30, 20)
-	if len(first) != len(second) {
-		t.Fatalf("repeated candidate calls differ: %d vs %d", len(first), len(second))
-	}
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatal("candidates must not consume the heap")
-		}
-	}
-}
-
-func TestHeapEvictorRemoveIsLazy(t *testing.T) {
-	ev := newEvictor(HeapEvictor, ranker{policy: LRU}).(*heapEvictor)
-	a := mkEntry("a", 10, 1, 1, 1)
-	ev.add(a, 1)
-	ev.remove(a)
-	if ev.count() != 0 {
-		t.Fatalf("count = %d, want 0", ev.count())
-	}
-	if c := ev.candidates(5, 2); c != nil {
-		t.Fatal("removed entry returned as candidate")
-	}
-}
-
-func TestHeapEvictorCompaction(t *testing.T) {
-	ev := newEvictor(HeapEvictor, ranker{policy: LRU}).(*heapEvictor)
-	// Create heavy churn so stale items accumulate, then verify compaction
-	// keeps the heap bounded and correct.
-	var live []*Entry
-	for i := 0; i < 500; i++ {
-		e := mkEntry(fmt.Sprintf("e%d", i), 10, 1, 1, float64(i))
-		ev.add(e, float64(i))
-		live = append(live, e)
-		if i%2 == 1 {
-			ev.remove(live[i-1])
-		}
-	}
-	if got := ev.count(); got != 250 {
-		t.Fatalf("count = %d, want 250", got)
-	}
-	c := ev.candidates(10*250, 1e6)
-	if len(c) != 250 {
-		t.Fatalf("candidates covered %d entries, want all 250", len(c))
-	}
-	if len(ev.h) > 4*ev.count()+64 {
-		t.Fatalf("heap not compacted: %d items for %d entries", len(ev.h), ev.count())
-	}
-}
-
-func TestHeapEvictorDecayedKeysStillOrdered(t *testing.T) {
-	// LNC profits decay between touches. After a long pause the heap must
-	// still produce victims in (near-)profit order thanks to refresh.
-	ev := newEvictor(HeapEvictor, ranker{policy: LNCR})
-	a := mkEntry("a", 10, 100, 2, 1, 2)    // stale
-	b := mkEntry("b", 10, 100, 2, 90, 95)  // fresh
-	c := mkEntry("c", 10, 5000, 2, 90, 95) // fresh and expensive
-	ev.add(a, 2)
-	ev.add(b, 95)
-	ev.add(c, 95)
-	// The heap evictor is approximate for decaying keys: it may pick
-	// either of the two low-profit entries first, but never the clearly
-	// highest-profit one.
-	victims := ev.candidates(10, 1000)
-	if len(victims) != 1 {
-		t.Fatalf("want one victim, got %d", len(victims))
-	}
-	if victims[0] == c {
-		t.Fatalf("highest-profit entry selected first: %s", victims[0].ID)
-	}
-	// Covering everything must rank c last even with stale keys refreshed.
-	all := ev.candidates(30, 1000)
-	if len(all) != 3 || all[2] != c {
-		t.Fatalf("full cover must put the high-profit entry last: %v",
-			[]string{all[0].ID, all[1].ID, all[2].ID})
-	}
-}
-
-func TestEvictorKindString(t *testing.T) {
-	if ScanEvictor.String() != "scan" || HeapEvictor.String() != "heap" {
-		t.Fatal("evictor kind names wrong")
 	}
 }

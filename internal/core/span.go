@@ -32,10 +32,6 @@ const (
 	StageInsert
 	// StageEvict covers evicting the victim batch of an admission.
 	StageEvict
-	// StageApply is the deferred-application stage of the buffered hit
-	// path: the time a promotion spent queued between the lock-free hit
-	// and the shard worker charging its recency/λ bookkeeping.
-	StageApply
 
 	// NumStages is the number of stages; keep last.
 	NumStages
@@ -56,8 +52,6 @@ func (s Stage) String() string {
 		return "insert"
 	case StageEvict:
 		return "evict"
-	case StageApply:
-		return "apply"
 	default:
 		return "unknown"
 	}

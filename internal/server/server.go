@@ -531,16 +531,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("watchman_used_bytes", "Payload plus metadata bytes charged against capacity.", s.cache.UsedBytes())
 	gauge("watchman_capacity_bytes", "Total configured cache capacity.", s.cache.Capacity())
 	gauge("watchman_shards", "Number of cache shards.", int64(s.cache.NumShards()))
-	if st := s.cache.Stats(); st.BufferedHits > 0 || st.PendingApplies > 0 {
-		// Buffered-mode visibility: how much of the hit traffic bypassed
-		// the shard locks and how far the appliers are behind. The registry
-		// above cannot see hits whose promotions were shed or sampled away,
-		// so its counters lag Stats by exactly PromotesSkipped+Sampled.
-		gauge("watchman_buffered_hits", "Hits served from the lock-free read index.", st.BufferedHits)
-		gauge("watchman_promotes_skipped", "Promotions shed because a shard's apply queue was full.", st.PromotesSkipped)
-		gauge("watchman_promotes_sampled", "Promotions skipped by gets-per-promote sampling.", st.PromotesSampled)
-		gauge("watchman_pending_applies", "Hit applications queued but not yet applied.", st.PendingApplies)
-	}
 	if m := s.cache.WhatIf(); m != nil {
 		m.WritePrometheusTo(w)
 	}

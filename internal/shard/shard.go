@@ -99,27 +99,6 @@ type Config struct {
 	// Now supplies the logical-seconds timestamp for requests whose Time
 	// is zero. Nil selects WallClock(), anchored at construction.
 	Now func() float64
-	// Buffered enables the contention-free hit path: hits are answered
-	// from a per-shard lock-free read index and their recency/λ/profit
-	// bookkeeping is applied in batches by a per-shard worker. See the
-	// package comment in buffered.go for the consistency model; Drain is
-	// the synchronization barrier.
-	Buffered bool
-	// PromoteBuffer is the per-shard promotion queue depth (buffered mode
-	// only; zero selects DefaultPromoteBuffer). When the queue is full a
-	// hit is still served and counted, but its bookkeeping is shed —
-	// counted in Stats.PromotesSkipped.
-	PromoteBuffer int
-	// DeleteBuffer is the per-shard maintenance queue depth (buffered mode
-	// only; zero selects DefaultDeleteBuffer). It carries drain barriers
-	// and the worker stop signal; unlike promotions these never drop — a
-	// full buffer blocks the producer.
-	DeleteBuffer int
-	// GetsPerPromote applies deferred bookkeeping for one hit in N
-	// (buffered mode only; zero or one applies every hit). Values above
-	// one trade λ-estimation fidelity for throughput; sampled-out hits are
-	// still counted, in Stats.PromotesSampled.
-	GetsPerPromote int
 }
 
 // Stats aggregates the core counters across shards and adds the
@@ -135,22 +114,6 @@ type Stats struct {
 	// semantic derivation instead of a loader execution. Followers that
 	// waited on such a flight are counted in Coalesced as usual.
 	Derivations int64 `json:"derivations"`
-	// BufferedHits is the number of hits served by buffered mode's
-	// lock-free read index (zero with Buffered off).
-	BufferedHits int64 `json:"buffered_hits,omitempty"`
-	// PromotesSkipped counts buffered hits whose deferred bookkeeping was
-	// shed because the promote buffer was full. The references, cost
-	// savings and bytes of shed hits are still counted above — only their
-	// recency/λ signal was lost.
-	PromotesSkipped int64 `json:"promotes_skipped,omitempty"`
-	// PromotesSampled counts buffered hits whose deferred bookkeeping was
-	// skipped by GetsPerPromote sampling (their counts, too, are included
-	// above).
-	PromotesSampled int64 `json:"promotes_sampled,omitempty"`
-	// PendingApplies is the number of promotions enqueued but not yet
-	// applied at the instant Stats was read — a queue-depth gauge, not a
-	// counter; zero right after Drain.
-	PendingApplies int64 `json:"pending_applies,omitempty"`
 }
 
 // flight is one in-progress loader execution that followers wait on.
@@ -201,9 +164,6 @@ type shard struct {
 	// admission is enabled; nil otherwise. It has its own tiny mutex, so
 	// recording happens outside the shard lock.
 	profile *admission.Profile
-	// buf is the buffered-mode state (read index, promotion queue,
-	// deferred cells); nil when Config.Buffered is off.
-	buf *shardBuffers
 }
 
 // observe records one served reference into the shard's admission profile
@@ -253,14 +213,6 @@ type Sharded struct {
 	loaderCalls atomic.Int64
 	coalesced   atomic.Int64
 	derivations atomic.Int64
-
-	// Buffered-mode state: getsPerPromote is the resolved sampling stride,
-	// closed gates the fast path off once Close has stopped the workers,
-	// and workerWG tracks the per-shard apply workers.
-	buffered       bool
-	getsPerPromote int
-	closed         atomic.Bool
-	workerWG       sync.WaitGroup
 }
 
 // New creates a sharded cache. The configuration must name a power-of-two
@@ -282,32 +234,19 @@ func New(cfg Config) (*Sharded, error) {
 		return nil, fmt.Errorf("shard: capacity %d spread over %d shards leaves nothing per shard",
 			cfg.Cache.Capacity, n)
 	}
-	if cfg.PromoteBuffer < 0 || cfg.DeleteBuffer < 0 || cfg.GetsPerPromote < 0 {
-		return nil, fmt.Errorf("shard: negative buffer sizing (promote %d, delete %d, gets-per-promote %d)",
-			cfg.PromoteBuffer, cfg.DeleteBuffer, cfg.GetsPerPromote)
-	}
 	s := &Sharded{
-		shards:         make([]*shard, n),
-		mask:           uint64(n - 1),
-		loader:         cfg.Loader,
-		now:            cfg.Now,
-		tuner:          cfg.Tuner,
-		reg:            cfg.Registry,
-		deriver:        cfg.Deriver,
-		rec:            cfg.Recorder,
-		whatif:         cfg.WhatIf,
-		buffered:       cfg.Buffered,
-		getsPerPromote: max(cfg.GetsPerPromote, 1),
+		shards:  make([]*shard, n),
+		mask:    uint64(n - 1),
+		loader:  cfg.Loader,
+		now:     cfg.Now,
+		tuner:   cfg.Tuner,
+		reg:     cfg.Registry,
+		deriver: cfg.Deriver,
+		rec:     cfg.Recorder,
+		whatif:  cfg.WhatIf,
 	}
 	if s.now == nil {
 		s.now = WallClock()
-	}
-	promoteDepth, deleteDepth := cfg.PromoteBuffer, cfg.DeleteBuffer
-	if promoteDepth == 0 {
-		promoteDepth = DefaultPromoteBuffer
-	}
-	if deleteDepth == 0 {
-		deleteDepth = DefaultDeleteBuffer
 	}
 	for i := range s.shards {
 		scfg := cfg.Cache
@@ -341,19 +280,6 @@ func New(cfg Config) (*Sharded, error) {
 			// lock.
 			scfg.Sink = core.MultiSink(scfg.Sink, s.whatif)
 		}
-		var buf *shardBuffers
-		if s.buffered {
-			// The read index rides the shard's event stream: admissions and
-			// restores store, evictions and invalidations delete — all
-			// under the shard lock, so index and residency never diverge.
-			buf = &shardBuffers{
-				promote: make(chan promotion, promoteDepth),
-				ops:     make(chan bufOp, deleteDepth),
-				stopped: make(chan struct{}),
-				batch:   make([]promotion, 0, applyBatchSize),
-			}
-			scfg.Sink = core.MultiSink(scfg.Sink, indexSink{buf: buf})
-		}
 		c, err := core.New(scfg)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
@@ -362,16 +288,9 @@ func New(cfg Config) (*Sharded, error) {
 			cache:      c,
 			inflight:   make(map[string]*flight),
 			invalEpoch: make(map[string]uint64),
-			buf:        buf,
 		}
 		if s.tuner != nil {
 			s.shards[i].profile = s.tuner.NewProfile()
-		}
-	}
-	if s.buffered {
-		for _, sh := range s.shards {
-			s.workerWG.Add(1)
-			go s.worker(sh)
 		}
 	}
 	return s, nil
@@ -402,19 +321,6 @@ func (s *Sharded) Reference(req core.Request) (hit bool, payload any) {
 	key, sig := core.Canonical(buf[:0], req.QueryID)
 	req.Time = s.timestamp(req.Time)
 	sh := s.shardFor(sig)
-	if s.buffered && !s.closed.Load() {
-		// The read index is keyed by string, so buffered mode materializes
-		// the ID before its probe; the core call below reuses it on a miss.
-		req.QueryID = core.CanonicalString(key, req.QueryID)
-		if v, ok := sh.buf.index.Load(req.QueryID); ok {
-			// Lock-free hit: serve the payload snapshot and defer the
-			// bookkeeping, charging the request's cost as the locked hit
-			// path would.
-			re := v.(*readEntry)
-			s.fastHit(sh, re, req.Time, req.Class, req.Cost)
-			return true, re.payload
-		}
-	}
 	sh.mu.Lock()
 	hit, payload, id := sh.cache.ReferenceBytes(req, key, sig)
 	sh.mu.Unlock()
@@ -474,19 +380,6 @@ func (s *Sharded) Load(req core.Request) (payload any, hit bool, err error) {
 	key, sig := core.Canonical(buf[:0], req.QueryID)
 	req.Time = s.timestamp(req.Time)
 	sh := s.shardFor(sig)
-
-	if s.buffered && !s.closed.Load() {
-		// As in Reference: the read index is keyed by string.
-		req.QueryID = core.CanonicalString(key, req.QueryID)
-		if v, ok := sh.buf.index.Load(req.QueryID); ok {
-			// Lock-free hit: serve the indexed payload and defer the
-			// bookkeeping, charging the entry's stored cost as the locked
-			// Load hit path (ReferenceEntry) would.
-			re := v.(*readEntry)
-			s.fastHit(sh, re, req.Time, req.Class, re.cost)
-			return re.payload, true, nil
-		}
-	}
 
 	sh.mu.Lock()
 	if e, ok := sh.cache.LookupBytes(key, sig); ok {
@@ -668,14 +561,6 @@ func (s *Sharded) Peek(queryID string) (payload any, ok bool) {
 // flight recorder by it). id is only read during the call.
 func (s *Sharded) PeekBytes(id []byte, sig uint64) (payload any, ok bool) {
 	sh := s.shardFor(sig)
-	if s.buffered {
-		// The read index mirrors residency exactly (it mutates under the
-		// shard lock with the core), so an index hit answers lock-free; a
-		// miss falls through to the authoritative locked probe.
-		if v, ok := sh.buf.index.Load(string(id)); ok {
-			return v.(*readEntry).payload, true
-		}
-	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if e, ok := sh.cache.LookupBytes(id, sig); ok {
@@ -696,11 +581,6 @@ func (s *Sharded) Invalidate(relations ...string) int {
 	}
 	dropped := 0
 	for _, sh := range s.shards {
-		// Buffered mode: flush pending hit applications first, so hits
-		// served before the invalidation are applied against their entries
-		// (full bookkeeping) rather than falling back to plain accounting
-		// after the sweep removes them.
-		s.drainShard(sh)
 		sh.mu.Lock()
 		// Fence in-flight loads that read these relations: their results
 		// may now be stale.
@@ -730,15 +610,9 @@ func (s *Sharded) Stats() Stats {
 	var out Stats
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		st := sh.statsLocked()
+		st := sh.cache.Stats()
 		sh.mu.Unlock()
 		out.Stats.Add(st)
-		if sh.buf != nil {
-			out.BufferedHits += sh.buf.fastHits.Load()
-			out.PromotesSkipped += sh.buf.skipped.Load()
-			out.PromotesSampled += sh.buf.sampled.Load()
-			out.PendingApplies += sh.buf.pending.Load()
-		}
 	}
 	out.LoaderCalls = s.loaderCalls.Load()
 	out.Coalesced = s.coalesced.Load()
@@ -751,7 +625,7 @@ func (s *Sharded) ShardStats() []core.Stats {
 	out := make([]core.Stats, len(s.shards))
 	for i, sh := range s.shards {
 		sh.mu.Lock()
-		out[i] = sh.statsLocked()
+		out[i] = sh.cache.Stats()
 		sh.mu.Unlock()
 	}
 	return out
@@ -791,6 +665,16 @@ func (s *Sharded) Capacity() int64 {
 	return n
 }
 
+// Close stops the what-if ghost matrix worker once the events already
+// queued have reached the ghosts. The cache stays usable — only the
+// matrix stops learning — so a graceful shutdown can Close before its
+// final snapshot flush. Idempotent, and a no-op without a matrix.
+func (s *Sharded) Close() {
+	if s.whatif != nil {
+		s.whatif.Close()
+	}
+}
+
 // Clock returns the largest logical time any shard has seen.
 func (s *Sharded) Clock() float64 {
 	var max float64
@@ -804,17 +688,12 @@ func (s *Sharded) Clock() float64 {
 	return max
 }
 
-// CheckInvariants verifies every shard's internal consistency, that no
-// flight outlived its execution and — in buffered mode — that the
-// lock-free read index mirrors the resident set exactly. Tests drive it
-// after concurrent hammering.
+// CheckInvariants verifies every shard's internal consistency and that no
+// flight outlived its execution. Tests drive it after concurrent hammering.
 func (s *Sharded) CheckInvariants() error {
 	for i, sh := range s.shards {
 		sh.mu.Lock()
 		err := sh.cache.CheckInvariants()
-		if err == nil {
-			err = sh.checkIndexLocked()
-		}
 		n := len(sh.inflight)
 		sh.mu.Unlock()
 		if err != nil {

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -133,9 +134,13 @@ func TestConcurrentHammer(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				// Overlapping ID space: plenty of same-key contention.
-				id := fmt.Sprintf("query %d", (w*perWorker+i*7)%512)
-				s.Reference(core.Request{QueryID: id, Size: int64(64 + i%512), Cost: float64(10 + i%90)})
+				// Overlapping ID space: plenty of same-key contention. A
+				// set's size follows its ID, not the iteration, so the
+				// 512 sets (~160 KiB) overflow the 64 KiB cache however
+				// the workers interleave.
+				k := (w*perWorker + i*7) % 512
+				id := fmt.Sprintf("query %d", k)
+				s.Reference(core.Request{QueryID: id, Size: int64(64 + k), Cost: float64(10 + i%90)})
 				if i%97 == 0 {
 					s.Peek(id)
 				}
@@ -446,6 +451,103 @@ func TestConcurrentParityWithCore(t *testing.T) {
 	}
 	t.Logf("CSR: sharded %.4f, serial %.4f (Δ %.4f); HR: sharded %.4f, serial %.4f",
 		got, want, got-want, st.HitRatio(), serial.HR())
+}
+
+// zeroClock keeps zero-valued request times at zero, so a sharded replay
+// sees exactly the timestamps a serial core.Cache replay sees.
+func zeroClock() float64 { return 0 }
+
+// goldenTraces builds the three equivalence workloads: TPC-D, multiclass
+// and drilldown.
+func goldenTraces(t *testing.T) map[string]*trace.Trace {
+	t.Helper()
+	out := make(map[string]*trace.Trace)
+	_, tr, err := workload.StandardTPCD(0, workload.Config{Queries: 4000, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["tpcd"] = tr
+	_, tr, err = workload.GenerateMulticlass(0, workload.MulticlassConfig{Config: workload.Config{Queries: 4000, Seed: 42}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["multiclass"] = tr
+	_, tr, err = workload.StandardDrilldown(0, workload.Config{Queries: 4000, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["drilldown"] = tr
+	return out
+}
+
+// traceReq builds the identical request both the serial and the sharded
+// replays submit for one trace record.
+func traceReq(rec *trace.Record) core.Request {
+	return core.Request{
+		QueryID:   rec.QueryID,
+		Time:      rec.Time,
+		Class:     rec.Class,
+		Size:      rec.Size,
+		Cost:      rec.Cost,
+		Relations: rec.Relations,
+	}
+}
+
+// TestShardedGoldenEquivalence replays each golden trace serially through
+// one core.Cache and through a single-shard Sharded, and requires every
+// Stats counter — float cost accumulators included — to be bit-identical:
+// with one shard the concurrent front must add nothing but a lock.
+func TestShardedGoldenEquivalence(t *testing.T) {
+	for name, tr := range goldenTraces(t) {
+		t.Run(name, func(t *testing.T) {
+			ccfg := core.Config{Capacity: sim.CacheBytesForFraction(tr, 1), K: 4, Policy: core.LNCRA}
+			serial, err := core.New(ccfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := newSharded(t, Config{Shards: 1, Cache: ccfg, Now: zeroClock})
+			for i := range tr.Records {
+				serial.Reference(traceReq(&tr.Records[i]))
+				s.Reference(traceReq(&tr.Records[i]))
+			}
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			got, want := s.Stats().Stats, serial.Stats()
+			if want.Hits == 0 {
+				t.Fatal("no hits: the replay proves nothing about the hit path")
+			}
+			if got != want {
+				t.Errorf("sharded replay diverged from serial core:\n got  %+v\n want %+v", got, want)
+			}
+		})
+	}
+}
+
+// TestHitPathAllocs pins the locked hit path's zero-allocation guarantee
+// with the flight recorder detached and no registry, on a query that is
+// already canonical: CompressID hands such an ID back as it stands, so the
+// hit neither copies nor canonicalizes it.
+func TestHitPathAllocs(t *testing.T) {
+	id := core.CompressID("hot query 1")
+	if core.CompressID(id) != id {
+		t.Fatal("canonical ID did not round-trip")
+	}
+
+	s := newSharded(t, Config{
+		Shards: 1,
+		Cache:  core.Config{Capacity: 1 << 20, K: 2, Policy: core.LNCRA},
+		Now:    zeroClock,
+	})
+	s.Reference(core.Request{QueryID: id, Time: 1, Size: 256, Cost: 50})
+	req := core.Request{QueryID: id, Time: 3, Size: 256, Cost: 50}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if hit, _ := s.Reference(req); !hit {
+			t.Fatal("locked reference missed")
+		}
+	}); allocs != 0 {
+		t.Errorf("recorder-detached locked hit path allocates %.1f per reference, want 0", allocs)
+	}
 }
 
 func TestWallClockMonotonic(t *testing.T) {

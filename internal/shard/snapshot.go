@@ -36,26 +36,8 @@ func (s *Sharded) ExportState() *persist.Snapshot {
 	}
 	snap := &persist.Snapshot{Shards: make([]*core.CacheState, len(s.shards))}
 	for i, sh := range s.shards {
-		// Buffered mode: flush this shard's pending hit applications right
-		// before capturing it, so the image carries fully-applied recency
-		// and λ state — a snapshot taken mid-traffic equals one taken
-		// after quiesce, up to references that land after the barrier.
-		s.drainShard(sh)
 		sh.mu.Lock()
 		snap.Shards[i] = sh.cache.ExportState()
-		if sh.buf != nil {
-			// Fold any deferred counts that never reached the core (hits
-			// shed under buffer pressure, or promotions racing this
-			// capture) into the exported Stats, so persisted counters stay
-			// honest; the live cells keep them for the running process.
-			h := sh.buf.hits.Load()
-			snap.Shards[i].Stats.References += h
-			snap.Shards[i].Stats.Hits += h
-			c := sh.buf.cost.load()
-			snap.Shards[i].Stats.CostTotal += c
-			snap.Shards[i].Stats.CostSaved += c
-			snap.Shards[i].Stats.BytesServed += sh.buf.bytes.Load()
-		}
 		sh.mu.Unlock()
 		if c := snap.Shards[i].Clock; c > snap.Clock {
 			snap.Clock = c
@@ -97,12 +79,11 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // reports its size, resident count and the longest single lock hold.
 // Each shard's state leaves in chunks of at most snapshotChunkEntries
 // entries, the shard lock held only per-chunk and released while the
-// chunk is encoded; in buffered mode the shard's deferred hit
-// applications are drained before every chunk, not globally. Entries
-// touched between a shard's chunks surface as either their pre-export
-// or post-mutation state, and the output is byte-identical to
-// persist.Write over ExportState whenever the cache is quiescent (see
-// docs/PERSISTENCE.md, "Streaming capture & consistency").
+// chunk is encoded. Entries touched between a shard's chunks surface as
+// either their pre-export or post-mutation state, and the output is
+// byte-identical to persist.Write over ExportState whenever the cache is
+// quiescent (see docs/PERSISTENCE.md, "Streaming capture &
+// consistency").
 //
 // The returned SnapshotInfo has no Path: that belongs to the
 // Snapshotter's file lifecycle.
@@ -146,35 +127,15 @@ func (s *Sharded) StreamSnapshot(w io.Writer) (SnapshotInfo, error) {
 	resident := 0
 	scratch := make([]core.EntryState, 0, snapshotChunkEntries)
 	for _, sh := range s.shards {
-		// Buffered mode: flush this shard's pending hit applications
-		// before the header capture, so the image carries fully-applied
-		// recency and λ state.
-		s.drainShard(sh)
 		t0 := monotime()
 		sh.mu.Lock()
 		cur := sh.cache.ExportBegin()
-		if sh.buf != nil {
-			// Fold any deferred counts that never reached the core (hits
-			// shed under buffer pressure, or promotions racing this
-			// capture) into the exported Stats, so persisted counters stay
-			// honest; the live cells keep them for the running process.
-			h := sh.buf.hits.Load()
-			cur.Header.Stats.References += h
-			cur.Header.Stats.Hits += h
-			c := sh.buf.cost.load()
-			cur.Header.Stats.CostTotal += c
-			cur.Header.Stats.CostSaved += c
-			cur.Header.Stats.BytesServed += sh.buf.bytes.Load()
-		}
 		sh.mu.Unlock()
 		pause(t0)
 		if err := sw.BeginShard(cur.Header); err != nil {
 			return SnapshotInfo{}, err
 		}
 		for cur.Remaining() > 0 {
-			// Per-chunk drain: hits applied while the previous chunk was
-			// encoding reach the core before this slice is copied.
-			s.drainShard(sh)
 			t0 = monotime()
 			sh.mu.Lock()
 			chunk, _ := sh.cache.ExportChunk(cur, snapshotChunkEntries, scratch[:cap(scratch)])

@@ -23,51 +23,42 @@ import (
 // TestStreamSnapshotMatchesWrite is the byte-equivalence acceptance check
 // for the streaming path: on a quiesced cache, StreamSnapshot must emit
 // exactly the bytes of the materialize-then-encode path
-// (persist.Write over ExportState), in both locking modes and with the
-// admission section present.
+// (persist.Write over ExportState), with the admission section present.
 func TestStreamSnapshotMatchesWrite(t *testing.T) {
-	for _, buffered := range []bool{false, true} {
-		name := "locked"
-		if buffered {
-			name = "buffered"
+	t.Run("locked", func(t *testing.T) {
+		tuner := newTuner(t)
+		s := newSharded(t, snapCfg(tuner))
+		drive(s, 7, 5000)
+		if _, ok := tuner.TuneOnce(); !ok {
+			t.Fatal("tuning round did not score")
 		}
-		t.Run(name, func(t *testing.T) {
-			tuner := newTuner(t)
-			cfg := snapCfg(tuner)
-			cfg.Buffered = buffered
-			s := newSharded(t, cfg)
-			drive(s, 7, 5000)
-			if _, ok := tuner.TuneOnce(); !ok {
-				t.Fatal("tuning round did not score")
-			}
 
-			var want bytes.Buffer
-			if err := persist.Write(&want, s.ExportState()); err != nil {
-				t.Fatal(err)
-			}
-			var got bytes.Buffer
-			info, err := s.StreamSnapshot(&got)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(want.Bytes(), got.Bytes()) {
-				t.Fatalf("streamed snapshot differs from persist.Write(ExportState()): %d vs %d bytes",
-					got.Len(), want.Len())
-			}
-			if info.Bytes != int64(got.Len()) {
-				t.Errorf("info.Bytes = %d, want %d", info.Bytes, got.Len())
-			}
-			if info.Resident != s.Resident() {
-				t.Errorf("info.Resident = %d, want %d", info.Resident, s.Resident())
-			}
-			if info.MaxLockPause <= 0 {
-				t.Error("MaxLockPause not recorded")
-			}
-			if info.MaxLockPause > info.Elapsed {
-				t.Errorf("MaxLockPause %v exceeds total Elapsed %v", info.MaxLockPause, info.Elapsed)
-			}
-		})
-	}
+		var want bytes.Buffer
+		if err := persist.Write(&want, s.ExportState()); err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		info, err := s.StreamSnapshot(&got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want.Bytes(), got.Bytes()) {
+			t.Fatalf("streamed snapshot differs from persist.Write(ExportState()): %d vs %d bytes",
+				got.Len(), want.Len())
+		}
+		if info.Bytes != int64(got.Len()) {
+			t.Errorf("info.Bytes = %d, want %d", info.Bytes, got.Len())
+		}
+		if info.Resident != s.Resident() {
+			t.Errorf("info.Resident = %d, want %d", info.Resident, s.Resident())
+		}
+		if info.MaxLockPause <= 0 {
+			t.Error("MaxLockPause not recorded")
+		}
+		if info.MaxLockPause > info.Elapsed {
+			t.Errorf("MaxLockPause %v exceeds total Elapsed %v", info.MaxLockPause, info.Elapsed)
+		}
+	})
 }
 
 // TestStreamSnapshotTelemetry: a capture through a registry-wired cache
@@ -112,88 +103,78 @@ func TestStreamSnapshotTelemetry(t *testing.T) {
 
 // TestSnapshotHammer is the -race battery for the streaming capture:
 // snapshots taken repeatedly under concurrent Reference + Invalidate
-// traffic, in both locking modes, must each decode and restore into a
-// cache that passes CheckInvariants — and whose relation index is
-// consistent enough to serve a coherence event correctly afterwards.
+// traffic must each decode and restore into a cache that passes
+// CheckInvariants — and whose relation index is consistent enough to
+// serve a coherence event correctly afterwards.
 func TestSnapshotHammer(t *testing.T) {
-	for _, buffered := range []bool{false, true} {
-		name := "locked"
-		if buffered {
-			name = "buffered"
+	t.Run("locked", func(t *testing.T) {
+		// A small admission window: the spinning writers below miss at a
+		// high rate, and every capture exports the tuner's whole sample
+		// window — the test exercises concurrency, not encode volume.
+		tuner, err := admission.New(admission.Config{Capacity: 128 << 10, Window: 1 << 12})
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			// A small admission window: the spinning writers below miss at a
-			// high rate, and every capture exports the tuner's whole sample
-			// window — the test exercises concurrency, not encode volume.
-			tuner, err := admission.New(admission.Config{Capacity: 128 << 10, Window: 1 << 12})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := snapCfg(tuner)
-			cfg.Buffered = buffered
-			s := newSharded(t, cfg)
-			drive(s, 3, 2000) // pre-populate so the first captures are not empty
+		s := newSharded(t, snapCfg(tuner))
+		drive(s, 3, 2000) // pre-populate so the first captures are not empty
 
-			var stop atomic.Bool
-			var wg sync.WaitGroup
-			for w := 0; w < 2; w++ {
-				wg.Add(1)
-				go func(seed int64) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(seed))
-					now := 1e6 // past the pre-populated clock
-					for i := 0; !stop.Load(); i++ {
-						now += rng.Float64()
-						s.Reference(core.Request{
-							QueryID:   fmt.Sprintf("query-%d", rng.Intn(600)),
-							Time:      now,
-							Class:     rng.Intn(2),
-							Size:      rng.Int63n(300) + 1,
-							Cost:      float64(rng.Intn(1000)) + 1,
-							Relations: []string{fmt.Sprintf("rel%d", rng.Intn(4))},
-							Payload:   []byte("rows"),
-						})
-						if i%512 == 0 {
-							s.Invalidate(fmt.Sprintf("rel%d", rng.Intn(4)))
-						}
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed))
+				now := 1e6 // past the pre-populated clock
+				for i := 0; !stop.Load(); i++ {
+					now += rng.Float64()
+					s.Reference(core.Request{
+						QueryID:   fmt.Sprintf("query-%d", rng.Intn(600)),
+						Time:      now,
+						Class:     rng.Intn(2),
+						Size:      rng.Int63n(300) + 1,
+						Cost:      float64(rng.Intn(1000)) + 1,
+						Relations: []string{fmt.Sprintf("rel%d", rng.Intn(4))},
+						Payload:   []byte("rows"),
+					})
+					if i%512 == 0 {
+						s.Invalidate(fmt.Sprintf("rel%d", rng.Intn(4)))
 					}
-				}(int64(w + 1))
-			}
+				}
+			}(int64(w + 1))
+		}
 
-			var captures [][]byte
-			for i := 0; i < 5; i++ {
-				var buf bytes.Buffer
-				if _, err := s.StreamSnapshot(&buf); err != nil {
-					stop.Store(true)
-					wg.Wait()
-					t.Fatalf("capture %d under load: %v", i, err)
-				}
-				captures = append(captures, buf.Bytes())
+		var captures [][]byte
+		for i := 0; i < 5; i++ {
+			var buf bytes.Buffer
+			if _, err := s.StreamSnapshot(&buf); err != nil {
+				stop.Store(true)
+				wg.Wait()
+				t.Fatalf("capture %d under load: %v", i, err)
 			}
-			stop.Store(true)
-			wg.Wait()
+			captures = append(captures, buf.Bytes())
+		}
+		stop.Store(true)
+		wg.Wait()
 
-			for i, raw := range captures {
-				restoredTuner := newTuner(t)
-				rcfg := snapCfg(restoredTuner)
-				rcfg.Buffered = buffered
-				dst := newSharded(t, rcfg)
-				if _, err := dst.Restore(bytes.NewReader(raw)); err != nil {
-					t.Fatalf("capture %d does not restore: %v", i, err)
-				}
-				if err := dst.CheckInvariants(); err != nil {
-					t.Fatalf("capture %d: restored cache invariants: %v", i, err)
-				}
-				// Relation-index consistency: a coherence event on the
-				// restored cache must drop every entry reading the relation
-				// and leave the index coherent.
-				dst.Invalidate("rel1")
-				if err := dst.CheckInvariants(); err != nil {
-					t.Fatalf("capture %d: invariants after Invalidate on restored cache: %v", i, err)
-				}
+		for i, raw := range captures {
+			restoredTuner := newTuner(t)
+			dst := newSharded(t, snapCfg(restoredTuner))
+			if _, err := dst.Restore(bytes.NewReader(raw)); err != nil {
+				t.Fatalf("capture %d does not restore: %v", i, err)
 			}
-		})
-	}
+			if err := dst.CheckInvariants(); err != nil {
+				t.Fatalf("capture %d: restored cache invariants: %v", i, err)
+			}
+			// Relation-index consistency: a coherence event on the
+			// restored cache must drop every entry reading the relation
+			// and leave the index coherent.
+			dst.Invalidate("rel1")
+			if err := dst.CheckInvariants(); err != nil {
+				t.Fatalf("capture %d: invariants after Invalidate on restored cache: %v", i, err)
+			}
+		}
+	})
 }
 
 // TestTrySnapshotInFlight: a second request-scoped snapshot attempt while

@@ -32,9 +32,6 @@ func ReplayAdaptive(tr *trace.Trace, cfg core.Config, tcfg admission.Config) (Ad
 	if tcfg.K == 0 {
 		tcfg.K = cfg.K
 	}
-	if tcfg.Evictor == 0 {
-		tcfg.Evictor = cfg.Evictor
-	}
 	tuner, err := admission.New(tcfg)
 	if err != nil {
 		return AdaptiveResult{}, nil, err

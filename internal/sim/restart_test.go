@@ -46,7 +46,7 @@ func TestReplayRestartExactWithScanEvictor(t *testing.T) {
 		t.Fatal(err)
 	}
 	capacity := CacheBytesForFraction(tr, 2)
-	res, err := ReplayRestart(tr, core.Config{Capacity: capacity, K: 3, Policy: core.LNCRA, Evictor: core.ScanEvictor})
+	res, err := ReplayRestart(tr, core.Config{Capacity: capacity, K: 3, Policy: core.LNCRA})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,9 +76,8 @@ func ReplayWithRegistry(tr *trace.Trace, cfg core.Config, reg *telemetry.Registr
 
 // Setup is a shorthand for the cache configurations the experiments sweep.
 type Setup struct {
-	Policy  core.PolicyKind
-	K       int
-	Evictor core.EvictorKind
+	Policy core.PolicyKind
+	K      int
 	// DisableRetained turns retained reference information off (ablation).
 	DisableRetained bool
 	// StrictTiers enables the literal Figure-1 tier loop (ablation).
@@ -96,7 +95,6 @@ func ReplaySetup(tr *trace.Trace, s Setup, capacity int64) (Result, error) {
 		Capacity:            capacity,
 		K:                   s.K,
 		Policy:              s.Policy,
-		Evictor:             s.Evictor,
 		DisableRetainedInfo: s.DisableRetained,
 		StrictTiers:         s.StrictTiers,
 	})

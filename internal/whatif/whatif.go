@@ -284,7 +284,6 @@ func New(cfg Config) (*Matrix, error) {
 				tuner, err := admission.New(admission.Config{
 					Capacity: ghost,
 					K:        gcfg.K,
-					Evictor:  gcfg.Evictor,
 					Window:   cfg.TuneWindow,
 				})
 				if err != nil {

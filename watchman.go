@@ -160,9 +160,6 @@ type Stats = core.Stats
 // PolicyKind selects a replacement/admission policy.
 type PolicyKind = core.PolicyKind
 
-// EvictorKind selects the victim-search structure.
-type EvictorKind = core.EvictorKind
-
 // Replacement and admission policies.
 const (
 	// LRU is the vanilla least-recently-used baseline.
@@ -177,14 +174,6 @@ const (
 	LNCR = core.LNCR
 	// LNCRA is LNC-R with the LNC-A admission algorithm.
 	LNCRA = core.LNCRA
-)
-
-// Victim-search structures.
-const (
-	// ScanEvictor is the exact selector: O(n) rank pass + O(k log k) select.
-	ScanEvictor = core.ScanEvictor
-	// HeapEvictor is the near-exact O(k log n) selector.
-	HeapEvictor = core.HeapEvictor
 )
 
 // Unlimited is a Config.Capacity value denoting an infinite cache.
@@ -225,14 +214,6 @@ type Loader = shard.Loader
 
 // DefaultShards is the shard count used when ShardedConfig.Shards is zero.
 const DefaultShards = shard.DefaultShards
-
-// DefaultPromoteBuffer is the per-shard promotion queue depth used when
-// ShardedConfig.PromoteBuffer is zero (buffered mode).
-const DefaultPromoteBuffer = shard.DefaultPromoteBuffer
-
-// DefaultDeleteBuffer is the per-shard maintenance queue depth used when
-// ShardedConfig.DeleteBuffer is zero (buffered mode).
-const DefaultDeleteBuffer = shard.DefaultDeleteBuffer
 
 // NewSharded creates a concurrent sharded cache manager.
 func NewSharded(cfg ShardedConfig) (*Sharded, error) { return shard.New(cfg) }
@@ -413,10 +394,6 @@ const (
 	StageInsert = core.StageInsert
 	// StageEvict covers evicting the victim batch of an admission.
 	StageEvict = core.StageEvict
-	// StageApply is the deferred-application stage of the buffered hit
-	// path: the time a promotion spent queued between the lock-free hit
-	// and the shard worker charging its recency/λ bookkeeping.
-	StageApply = core.StageApply
 	// NumStages is the number of lifecycle stages.
 	NumStages = core.NumStages
 )

@@ -82,7 +82,6 @@ func TestPublicTraceAndReplay(t *testing.T) {
 		Capacity: watchman.CacheBytesForFraction(tr, 1),
 		K:        4,
 		Policy:   watchman.LNCRA,
-		Evictor:  watchman.HeapEvictor,
 	})
 	if err != nil {
 		t.Fatal(err)
