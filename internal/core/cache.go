@@ -285,15 +285,16 @@ func New(cfg Config) (*Cache, error) {
 	if tr, ok := admitter.(ThresholdReporter); ok {
 		theta = tr.Threshold
 	}
+	rc := &rateContext{}
 	return &Cache{
 		cfg:      cfg,
 		index:    make(map[uint64][]*Entry),
-		ev:       newEvictor(ranker{policy: cfg.Policy, strictTiers: cfg.StrictTiers}),
+		ev:       newEvictor(ranker{policy: cfg.Policy, strictTiers: cfg.StrictTiers, rc: rc}),
 		admitter: admitter,
 		deriver:  cfg.Deriver,
 		sinks:    sinks,
 		retained: make(map[*Entry]struct{}),
-		rc:       &rateContext{},
+		rc:       rc,
 		tracer:   cfg.Tracer,
 		theta:    theta,
 	}, nil
@@ -879,12 +880,7 @@ func (c *Cache) pruneRetained(now float64) {
 	if c.resident == 0 {
 		return
 	}
-	minProfit := math.Inf(1)
-	for _, e := range c.ev.residents() {
-		if p := e.Profit(now); p < minProfit {
-			minProfit = p
-		}
-	}
+	minProfit := c.ev.minProfit(now)
 	for e := range c.retained {
 		if e.Profit(now) < minProfit {
 			delete(c.retained, e)
@@ -998,6 +994,16 @@ func (c *Cache) CheckInvariants() error {
 	}
 	if c.ev.count() != c.resident {
 		return fmt.Errorf("evictor tracks %d entries, want %d", c.ev.count(), c.resident)
+	}
+	for _, e := range c.ev.residents() {
+		if e.rc != c.rc {
+			// The evictor ranks with the cache's λ floor, read once per
+			// pass; an entry with its own context would rank differently.
+			return fmt.Errorf("resident %q does not share the cache's rate context", e.ID)
+		}
+	}
+	if err := c.ev.check(); err != nil {
+		return err
 	}
 	if c.cfg.Capacity != Unlimited && c.UsedBytes() > c.cfg.Capacity {
 		return fmt.Errorf("used %d exceeds capacity %d", c.UsedBytes(), c.cfg.Capacity)

@@ -38,7 +38,9 @@ type Entry struct {
 	evIdx int
 	// rc is the rate context shared with the owning cache; it supplies
 	// the smoothing floor for λ denominators. It is nil for entries
-	// created outside a cache, which then use the raw formula.
+	// created outside a cache, which then use the raw formula. A resident's
+	// rc is always its cache's own (CheckInvariants holds it to that): the
+	// evictor reads the floor once per pass, from the cache's context.
 	rc *rateContext
 }
 
@@ -49,11 +51,11 @@ type rateContext struct {
 }
 
 // floor returns the context's denominator floor, or 0 without a context.
-func (e *Entry) floor() float64 {
-	if e.rc == nil {
+func (rc *rateContext) floor() float64 {
+	if rc == nil {
 		return 0
 	}
-	return e.rc.minDt
+	return rc.minDt
 }
 
 // Resident reports whether the retrieved set itself is in the cache (true)
@@ -71,7 +73,7 @@ func (e *Entry) TotalRefs() int64 { return e.window.totalRefs() }
 func (e *Entry) LastRef() float64 { return e.window.last() }
 
 // Rate returns the sliding-window reference-rate estimate λ at time now.
-func (e *Entry) Rate(now float64) float64 { return e.window.rate(now, e.floor()) }
+func (e *Entry) Rate(now float64) float64 { return e.window.rate(now, e.rc.floor()) }
 
 // Profit returns the paper's profit metric at time now (§2.1):
 //
@@ -79,10 +81,18 @@ func (e *Entry) Rate(now float64) float64 { return e.window.rate(now, e.floor())
 //
 // Entries with no recorded references have zero profit.
 func (e *Entry) Profit(now float64) float64 {
-	if e.Size <= 0 {
+	return profit(e.window.count(), e.window.kth(), e.Cost, e.Size, now, e.rc.floor())
+}
+
+// profit is λ·c/s from its inputs: n reference times, the oldest at tK
+// (see lambda), cost c and size s. It is 0 for a non-positive size. The
+// evictor's column pass and Entry.Profit both call it, so a victim search
+// ranks every resident by exactly the bits Profit reports.
+func profit(n int, tK, cost float64, size int64, now, minDt float64) float64 {
+	if size <= 0 {
 		return 0
 	}
-	return e.Rate(now) * e.Cost / float64(e.Size)
+	return lambda(n, tK, now, minDt) * cost / float64(size)
 }
 
 // EProfit returns the estimated profit used when no reference information

@@ -72,6 +72,29 @@ type ranker struct {
 	// strictTiers enables the literal Figure-1 reference-count tiers for
 	// the LNC policies (ablation A6).
 	strictTiers bool
+	// rc is the owning cache's λ context, read by the evictor's column
+	// pass; nil outside a cache, like an Entry's.
+	rc *rateContext
+}
+
+// byProfit reports whether the rank depends on the current time: the LNC
+// policies rank by profit, every other policy by a key that changes only
+// when the entry is referenced.
+func (r ranker) byProfit() bool {
+	switch r.policy {
+	case LRU, LRUK, LFU, LCS:
+		return false
+	default:
+		return true
+	}
+}
+
+// profitTier is the LNC tier of an entry holding n reference times.
+func (r ranker) profitTier(n int) int {
+	if !r.strictTiers || n < 1 {
+		return 1
+	}
+	return n
 }
 
 // rank returns the eviction priority: victims are selected in ascending
@@ -97,13 +120,6 @@ func (r ranker) rank(e *Entry, now float64) (tier int, key float64) {
 		// Strict Figure-1 ordering: all sets with exactly one reference in
 		// profit order, then all with two references, etc. The default
 		// collapses the tiers and competes on profit alone.
-		if !r.strictTiers {
-			return 1, e.Profit(now)
-		}
-		tier = e.window.count()
-		if tier < 1 {
-			tier = 1
-		}
-		return tier, e.Profit(now)
+		return r.profitTier(e.window.count()), e.Profit(now)
 	}
 }

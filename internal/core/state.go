@@ -92,12 +92,7 @@ func (w *refWindow) export() []float64 {
 	if w.n == 0 {
 		return nil
 	}
-	out := make([]float64, w.n)
-	for i := 0; i < w.n; i++ {
-		idx := (w.head - (w.n - 1 - i) + len(w.times)*2) % len(w.times)
-		out[i] = w.times[idx]
-	}
-	return out
+	return w.exportInto(make([]float64, 0, w.n))
 }
 
 // restoreWindow rebuilds a K-sized window from exported times (oldest

@@ -29,12 +29,14 @@ func newRefWindow(k int) refWindow {
 	return refWindow{times: make([]float64, k)}
 }
 
-// record appends a reference at time t.
+// record appends a reference at time t. The ring indices wrap by
+// comparison, not by %: len(times) is not a constant, so % would be an
+// integer division on every hit.
 func (w *refWindow) record(t float64) {
 	if w.n == 0 {
 		w.head = 0
-	} else {
-		w.head = (w.head + 1) % len(w.times)
+	} else if w.head++; w.head == len(w.times) {
+		w.head = 0
 	}
 	w.times[w.head] = t
 	if w.n < len(w.times) {
@@ -64,8 +66,17 @@ func (w *refWindow) kth() float64 {
 	if w.n == 0 {
 		return 0
 	}
-	idx := (w.head - (w.n - 1) + len(w.times)*2) % len(w.times)
-	return w.times[idx]
+	return w.times[w.oldest()]
+}
+
+// oldest returns the ring index of the oldest valid time; the window must
+// not be empty.
+func (w *refWindow) oldest() int {
+	idx := w.head - (w.n - 1)
+	if idx < 0 {
+		idx += len(w.times)
+	}
+	return idx
 }
 
 // rateEpsilon bounds the λ denominator away from zero so that references
@@ -84,26 +95,38 @@ const rateEpsilon = 1e-9
 // normally. The paper's formula (3) leaves the t → t_K limit unspecified;
 // this is the deviation that resolves it, recorded in DESIGN.md.
 func (w *refWindow) rate(now, minDt float64) float64 {
-	if w.n == 0 {
+	return lambda(w.n, w.kth(), now, minDt)
+}
+
+// lambda is λ = n/(now − tK) from its inputs: n reference times, the
+// oldest at tK, with the denominator floored at minDt and then at
+// rateEpsilon. It is 0 when n is 0.
+func lambda(n int, tK, now, minDt float64) float64 {
+	if n == 0 {
 		return 0
 	}
-	dt := now - w.kth()
+	dt := now - tK
 	if dt < minDt {
 		dt = minDt
 	}
 	if dt < rateEpsilon {
 		dt = rateEpsilon
 	}
-	return float64(w.n) / dt
+	return float64(n) / dt
 }
 
 // exportInto appends the window's valid reference times, oldest first,
-// onto out and returns the extended slice. It is the allocation-reusing
-// form of export (see state.go) for the chunked export path.
+// onto out and returns the extended slice.
 func (w *refWindow) exportInto(out []float64) []float64 {
+	if w.n == 0 {
+		return out
+	}
+	idx := w.oldest()
 	for i := 0; i < w.n; i++ {
-		idx := (w.head - (w.n - 1 - i) + len(w.times)*2) % len(w.times)
 		out = append(out, w.times[idx])
+		if idx++; idx == len(w.times) {
+			idx = 0
+		}
 	}
 	return out
 }
