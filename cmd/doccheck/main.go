@@ -1,5 +1,5 @@
 // Command doccheck is the repository's documentation linter, run by the CI
-// docs job. It enforces three invariants without external dependencies:
+// docs job. It enforces four invariants without external dependencies:
 //
 //  1. every exported identifier (functions, methods, types, consts, vars)
 //     in every non-test Go file carries a doc comment, and every package
@@ -9,7 +9,10 @@
 //  3. every analyzer registered in the static-analysis suite (the list
 //     cmd/watchmanlint runs) is documented under a `## <name>` heading in
 //     docs/ANALYSIS.md, and no heading there names an analyzer that no
-//     longer exists.
+//     longer exists;
+//  4. every benchmark named in README.md or docs/*.md (BenchmarkXxx, by
+//     Go's naming rule) is declared as a func in some _test.go file of
+//     the module.
 //
 // Usage:
 //
@@ -42,6 +45,7 @@ func main() {
 	problems = append(problems, checkGoDocs(root)...)
 	problems = append(problems, checkMarkdownLinks(root)...)
 	problems = append(problems, checkAnalyzerDocs(root)...)
+	problems = append(problems, checkBenchmarkCitations(root)...)
 	for _, p := range problems {
 		fmt.Println(p)
 	}
@@ -179,18 +183,22 @@ func exportedReceiver(recv *ast.FieldList) bool {
 // anchor or title.
 var mdLink = regexp.MustCompile(`\]\(([^)\s#]+)[^)]*\)`)
 
-// checkMarkdownLinks verifies every relative link in README.md and every
-// markdown file under docs/ points at an existing file.
-func checkMarkdownLinks(root string) []string {
+// docFiles lists the documents doccheck reads: README.md and every
+// markdown file under docs/.
+func docFiles(root string) []string {
 	var files []string
 	if _, err := os.Stat(filepath.Join(root, "README.md")); err == nil {
 		files = append(files, filepath.Join(root, "README.md"))
 	}
 	docs, _ := filepath.Glob(filepath.Join(root, "docs", "*.md"))
-	files = append(files, docs...)
+	return append(files, docs...)
+}
 
+// checkMarkdownLinks verifies every relative link in README.md and every
+// markdown file under docs/ points at an existing file.
+func checkMarkdownLinks(root string) []string {
 	var problems []string
-	for _, file := range files {
+	for _, file := range docFiles(root) {
 		data, err := os.ReadFile(file)
 		if err != nil {
 			problems = append(problems, fmt.Sprintf("%s: %v", file, err))
@@ -258,6 +266,71 @@ func analyzerDocProblems(path, content string, names []string) []string {
 		if !registered[name] {
 			problems = append(problems,
 				fmt.Sprintf("%s:%d: heading \"## %s\" documents an analyzer that is not registered", path, line, name))
+		}
+	}
+	return problems
+}
+
+// benchCitation matches a benchmark name as `go test` recognizes one: the
+// prefix followed by a character that is not a lower-case letter, so the
+// word "Benchmarks" is prose, not a citation.
+var benchCitation = regexp.MustCompile(`\bBenchmark[A-Z0-9_][A-Za-z0-9_]*`)
+
+// benchFunc matches a top-level benchmark function declaration.
+var benchFunc = regexp.MustCompile(`(?m)^func (Benchmark[A-Z0-9_][A-Za-z0-9_]*)\(`)
+
+// checkBenchmarkCitations verifies every benchmark the documents name
+// against the benchmark functions declared in the module's test files: a
+// doc that tells the reader to run a deleted benchmark is a broken link.
+func checkBenchmarkCitations(root string) []string {
+	defined := map[string]bool{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); name == "testdata" || strings.HasPrefix(name, ".") && path != root {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range benchFunc.FindAllStringSubmatch(string(data), -1) {
+			defined[m[1]] = true
+		}
+		return nil
+	})
+	if err != nil {
+		return []string{fmt.Sprintf("walk: %v", err)}
+	}
+	var problems []string
+	for _, file := range docFiles(root) {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			problems = append(problems, fmt.Sprintf("%s: %v", file, err))
+			continue
+		}
+		problems = append(problems, benchCitationProblems(file, string(data), defined)...)
+	}
+	return problems
+}
+
+// benchCitationProblems is the testable core of checkBenchmarkCitations:
+// one problem per cited benchmark name that defined does not hold.
+func benchCitationProblems(path, content string, defined map[string]bool) []string {
+	var problems []string
+	for i, line := range strings.Split(content, "\n") {
+		for _, name := range benchCitation.FindAllString(line, -1) {
+			if !defined[name] {
+				problems = append(problems,
+					fmt.Sprintf("%s:%d: cites %s, which no _test.go file declares", path, i+1, name))
+			}
 		}
 	}
 	return problems

@@ -50,3 +50,28 @@ func TestAnalyzerDocsAgainstRepo(t *testing.T) {
 		t.Fatal("registry is empty; the check would be vacuous")
 	}
 }
+
+// TestBenchCitationProblems pins the benchmark-citation rule: a declared
+// benchmark (with or without a sub-benchmark suffix) passes, a stale name
+// is one problem naming its line, and the prose word "Benchmarks" is not
+// a citation.
+func TestBenchCitationProblems(t *testing.T) {
+	defined := map[string]bool{"BenchmarkCanonical": true}
+	ok := "## Benchmarks\n\n`BenchmarkCanonical` and `BenchmarkCanonical-2` are fine.\n"
+	if got := benchCitationProblems("README.md", ok, defined); len(got) != 0 {
+		t.Fatalf("declared benchmarks and prose must pass, got %v", got)
+	}
+	stale := ok + "Run `BenchmarkShardedReference/shards=16`.\n"
+	got := benchCitationProblems("README.md", stale, defined)
+	if len(got) != 1 || !strings.Contains(got[0], "README.md:4:") || !strings.Contains(got[0], "BenchmarkShardedReference,") {
+		t.Fatalf("stale citation must be exactly one problem naming its line, got %v", got)
+	}
+}
+
+// TestBenchCitationsAgainstRepo runs the real check over the real README
+// and docs, so citing a benchmark that does not exist fails tier-1 too.
+func TestBenchCitationsAgainstRepo(t *testing.T) {
+	if got := checkBenchmarkCitations("../.."); len(got) != 0 {
+		t.Fatalf("docs cite benchmarks that do not exist: %v", got)
+	}
+}

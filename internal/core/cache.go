@@ -39,8 +39,8 @@ type Config struct {
 	// sets with one recorded reference in profit order, then all with two,
 	// and so on. By default entries compete on profit alone — the λ
 	// smoothing floor already discounts unreliable young estimates, and
-	// the strict tier loop measurably inverts the paper's Figure 3 trend
-	// on these workloads (ablation A6 quantifies this; see DESIGN.md).
+	// the strict tier loop inverts the paper's Figure 3 trend on TPC-D
+	// (ablation A6; the numbers are in docs/POLICIES.md).
 	StrictTiers bool
 	// Deriver, if non-nil, is consulted on the miss path with requests
 	// that carry a plan descriptor (Request.Plan): when a cached ancestor
@@ -60,19 +60,9 @@ type Config struct {
 	// Sink, if non-nil, receives one typed Event per lifecycle outcome
 	// (hit, admitted/rejected miss, eviction, invalidation, external
 	// miss). Sinks run under the cache's execution context and must not
-	// call back into the cache. The telemetry registry plugs in here.
+	// call back into the cache. The telemetry registry and the
+	// buffer-manager hint pipeline plug in here.
 	Sink EventSink
-	// OnAdmit, if non-nil, is called after a retrieved set is cached. The
-	// buffer-manager hint pipeline hangs off this callback. It is served
-	// by an adapter sink over the same event stream Sink observes.
-	OnAdmit func(*Entry)
-	// OnEvict, if non-nil, is called after a retrieved set is evicted or
-	// invalidated.
-	OnEvict func(*Entry)
-	// OnReject, if non-nil, is called when the admission test denies a
-	// set: the rejected entry, its candidate list and both sides of the
-	// profit comparison. Observability only; the decision is already made.
-	OnReject func(e *Entry, victims []*Entry, profit, bar float64)
 	// Tracer, if non-nil, receives one flight-recorder Span per reference,
 	// carrying per-stage monotonic timings and the admission decision's
 	// inputs. Like Sink, it runs under the cache's execution context and
@@ -270,11 +260,6 @@ func New(cfg Config) (*Cache, error) {
 	var sinks []EventSink
 	if cfg.Sink != nil {
 		sinks = append(sinks, cfg.Sink)
-	}
-	if cfg.OnAdmit != nil || cfg.OnEvict != nil || cfg.OnReject != nil {
-		// The legacy callbacks ride the same event stream as Sink, via one
-		// adapter; the cache itself only ever emits events.
-		sinks = append(sinks, callbackSink{cfg.OnAdmit, cfg.OnEvict, cfg.OnReject})
 	}
 	if ds, ok := cfg.Deriver.(EventSink); ok {
 		// The deriver tracks cached content off the same event stream

@@ -372,30 +372,6 @@ func TestInvalidateUnknownRelation(t *testing.T) {
 	checkInv(t, c)
 }
 
-func TestCallbacks(t *testing.T) {
-	var admits, evicts, rejects int
-	c := newCache(t, Config{
-		Capacity: 250,
-		Policy:   LNCRA,
-		OnAdmit:  func(*Entry) { admits++ },
-		OnEvict:  func(*Entry) { evicts++ },
-		OnReject: func(*Entry, []*Entry, float64, float64) { rejects++ },
-	})
-	c.Reference(req("a", 1, 100, 100))
-	c.Reference(req("b", 2, 100, 100))
-	c.Reference(req("junk", 3, 200, 1)) // rejected: e-profit too low
-	c.Reference(req("gold", 4, 200, 1e6))
-	if admits != 3 {
-		t.Fatalf("admits = %d, want 3", admits)
-	}
-	if evicts < 2 {
-		t.Fatalf("evicts = %d, want ≥ 2", evicts)
-	}
-	if rejects != 1 {
-		t.Fatalf("rejects = %d, want 1", rejects)
-	}
-}
-
 func TestFragmentationSampling(t *testing.T) {
 	c := newCache(t, Config{Capacity: 1000, Policy: LRU})
 	c.Reference(req("half", 1, 500, 10))

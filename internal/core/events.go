@@ -6,8 +6,7 @@ package core
 // paper's accounting is judged by — hits, admissions, rejections,
 // evictions, coherence drops, and the externally-resolved misses that
 // bypass admission — flows through here, so a single sink observes the
-// complete reference stream. The legacy OnAdmit/OnEvict/OnReject
-// callbacks are implemented as one adapter sink over the same events.
+// complete reference stream.
 
 // EventKind enumerates the cache lifecycle outcomes an EventSink observes.
 type EventKind uint8
@@ -193,42 +192,6 @@ func MultiSink(sinks ...EventSink) EventSink {
 		return out[0]
 	}
 	return out
-}
-
-// callbackSink implements the legacy OnAdmit/OnEvict/OnReject callbacks as
-// one adapter over the event stream, preserving their exact firing rules:
-// OnAdmit after every admission, OnEvict after every replacement eviction
-// and after coherence drops of resident sets, OnReject only when an
-// Admitter denied the set (Victims non-nil).
-type callbackSink struct {
-	onAdmit  func(*Entry)
-	onEvict  func(*Entry)
-	onReject func(e *Entry, victims []*Entry, profit, bar float64)
-}
-
-// Emit dispatches the event to the matching callback.
-func (s callbackSink) Emit(ev Event) {
-	switch ev.Kind {
-	case EventMissAdmitted:
-		if s.onAdmit != nil {
-			s.onAdmit(ev.Entry)
-		}
-	case EventEvict:
-		if s.onEvict != nil {
-			s.onEvict(ev.Entry)
-		}
-	case EventInvalidate:
-		if ev.Resident && s.onEvict != nil {
-			s.onEvict(ev.Entry)
-		}
-	case EventMissRejected:
-		if ev.Victims != nil && s.onReject != nil {
-			s.onReject(ev.Entry, ev.Victims, ev.Profit, ev.Bar)
-		}
-	case EventHit, EventExternalMiss, EventHitDerived, EventRestore:
-		// No legacy callback observes reference outcomes or snapshot
-		// restores; stats and telemetry sinks consume those kinds.
-	}
 }
 
 // emit forwards one event to every configured sink. Call sites guard with

@@ -119,62 +119,6 @@ func TestPropertyEventsMatchStats(t *testing.T) {
 	}
 }
 
-// TestCallbackAdapterMatchesEvents runs the same pressured workload as
-// TestCallbacks twice — once observed through the legacy callbacks, once
-// through an event sink — and asserts the adapter preserved every firing
-// rule (OnReject only on admitter denials, OnEvict also on resident
-// invalidations).
-func TestCallbackAdapterMatchesEvents(t *testing.T) {
-	run := func(cfg Config) *Cache {
-		c := newCache(t, cfg)
-		c.Reference(req("a", 1, 100, 100))
-		c.Reference(req("b", 2, 100, 100))
-		c.Reference(req("junk", 3, 200, 1)) // rejected: e-profit too low
-		c.Reference(req("gold", 4, 200, 1e6))
-		c.Invalidate("rel-of-nobody")
-		return c
-	}
-
-	var admits, evicts, rejects int
-	run(Config{
-		Capacity: 250,
-		Policy:   LNCRA,
-		OnAdmit:  func(*Entry) { admits++ },
-		OnEvict:  func(*Entry) { evicts++ },
-		OnReject: func(*Entry, []*Entry, float64, float64) { rejects++ },
-	})
-
-	var sinkAdmits, sinkEvicts, sinkRejects int
-	run(Config{
-		Capacity: 250,
-		Policy:   LNCRA,
-		Sink: EventSinkFunc(func(ev Event) {
-			switch ev.Kind {
-			case EventMissAdmitted:
-				sinkAdmits++
-			case EventEvict:
-				sinkEvicts++
-			case EventInvalidate:
-				if ev.Resident {
-					sinkEvicts++
-				}
-			case EventMissRejected:
-				if ev.Victims != nil {
-					sinkRejects++
-				}
-			}
-		}),
-	})
-
-	if admits != sinkAdmits || evicts != sinkEvicts || rejects != sinkRejects {
-		t.Fatalf("adapter drift: callbacks saw admits=%d evicts=%d rejects=%d, sink saw %d/%d/%d",
-			admits, evicts, rejects, sinkAdmits, sinkEvicts, sinkRejects)
-	}
-	if admits == 0 || rejects == 0 {
-		t.Fatalf("workload exercised nothing: admits=%d rejects=%d", admits, rejects)
-	}
-}
-
 // TestAccount verifies the Account API's charging rules: hit=true accrues
 // the savings counters, hit=false accrues ExternalMisses, and both count
 // the reference and its cost.

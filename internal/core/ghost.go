@@ -5,8 +5,8 @@ package core
 // metadata settings), a different capacity and policy, and every observer
 // stripped. Shadows built from it — the admission tuner's θ arms, the
 // what-if ghost matrix — replay reference streams without re-emitting
-// events, tracing spans, deriving answers or firing callbacks, so a ghost
-// can safely run inside a sink of the live cache it shadows.
+// events, tracing spans or deriving answers, so a ghost can safely run
+// inside a sink of the live cache it shadows.
 //
 // The admitter is also cleared: admission falls back to the policy
 // default (the static LNC-A test for LNCRA), and callers that want an
@@ -19,9 +19,6 @@ func (cfg Config) Ghost(capacity int64, policy PolicyKind) Config {
 	g.Sink = nil
 	g.Tracer = nil
 	g.Deriver = nil
-	g.OnAdmit = nil
-	g.OnEvict = nil
-	g.OnReject = nil
 	return g
 }
 

@@ -93,7 +93,7 @@ const rateEpsilon = 1e-9
 // cache's observed mean inter-arrival gap gives such sets a high but sane
 // initial rate — "about one reference per arrival" — that then ages
 // normally. The paper's formula (3) leaves the t → t_K limit unspecified;
-// this is the deviation that resolves it, recorded in DESIGN.md.
+// the floor is this repository's deviation that resolves it.
 func (w *refWindow) rate(now, minDt float64) float64 {
 	return lambda(w.n, w.kth(), now, minDt)
 }

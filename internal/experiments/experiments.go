@@ -1,8 +1,9 @@
 // Package experiments reproduces every table and figure of the paper's
-// evaluation (§4) plus the ablations and extensions listed in DESIGN.md.
-// Each runner returns a metrics.Table shaped like the paper's artifact; the
-// bench harness at the repository root and cmd/watchman both drive this
-// package.
+// evaluation (§4) plus the ablations and extensions: retained information
+// (A2), multiclass (A4) and the related-work baselines (A5). Each runner
+// returns a metrics.Table shaped like the paper's artifact; cmd/watchman
+// drives this package, and its tests check each table's shape. Ablation
+// A6, strict tiers, is a test here; docs/POLICIES.md records its numbers.
 package experiments
 
 import (

@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/sim"
 )
 
 // smallSuite keeps the runners fast: 4 000 queries (enough for the traces'
@@ -162,6 +164,35 @@ func TestAblationRetained(t *testing.T) {
 	}
 	if len(tb.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tb.Rows))
+	}
+}
+
+// TestAblationStrictTiers is ablation A6: the literal Figure-1 tier loop
+// (all sets with one recorded reference first, then two, …) against the
+// default profit-only LNC order. On TPC-D at 1 % cache the strict loop
+// inverts the paper's Figure 3 trend — its CSR falls from K=1 to K=4 —
+// while the default order does not (docs/POLICIES.md has the numbers).
+func TestAblationStrictTiers(t *testing.T) {
+	tr, err := smallSuite().TPCD()
+	if err != nil {
+		t.Fatal(err)
+	}
+	capacity := sim.CacheBytesForFraction(tr, 1)
+	csr := func(k int, strict bool) float64 {
+		res, err := sim.ReplaySetup(tr, sim.Setup{Policy: core.LNCRA, K: k, StrictTiers: strict}, capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.CSR()
+	}
+	strict1, strict4 := csr(1, true), csr(4, true)
+	default1, default4 := csr(1, false), csr(4, false)
+	t.Logf("CSR K=1 → K=4: strict %.3f → %.3f, default %.3f → %.3f", strict1, strict4, default1, default4)
+	if strict4 >= strict1 {
+		t.Errorf("strict tiers: CSR %.3f at K=4 not below %.3f at K=1; the inversion is gone", strict4, strict1)
+	}
+	if default4 < default1 {
+		t.Errorf("default order: CSR %.3f at K=4 below %.3f at K=1; the default inverts too", default4, default1)
 	}
 }
 

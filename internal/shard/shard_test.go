@@ -11,7 +11,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
+	"repro/internal/whatif"
 	"repro/internal/workload"
 )
 
@@ -525,28 +527,50 @@ func TestShardedGoldenEquivalence(t *testing.T) {
 }
 
 // TestHitPathAllocs pins the locked hit path's zero-allocation guarantee
-// with the flight recorder detached and no registry, on a query that is
-// already canonical: CompressID hands such an ID back as it stands, so the
-// hit neither copies nor canonicalizes it.
+// at 1 and 16 shards, with nothing attached, with the telemetry registry,
+// and with the what-if matrix at a sampling rate that leaves the hot key
+// unsampled (the per-reference tax every live reference pays). The query
+// is already canonical: CompressID hands such an ID back as it stands, so
+// the hit neither copies nor canonicalizes it.
 func TestHitPathAllocs(t *testing.T) {
 	id := core.CompressID("hot query 1")
 	if core.CompressID(id) != id {
 		t.Fatal("canonical ID did not round-trip")
 	}
-
-	s := newSharded(t, Config{
-		Shards: 1,
-		Cache:  core.Config{Capacity: 1 << 20, K: 2, Policy: core.LNCRA},
-		Now:    zeroClock,
-	})
-	s.Reference(core.Request{QueryID: id, Time: 1, Size: 256, Cost: 50})
-	req := core.Request{QueryID: id, Time: 3, Size: 256, Cost: 50}
-	if allocs := testing.AllocsPerRun(1000, func() {
-		if hit, _ := s.Reference(req); !hit {
-			t.Fatal("locked reference missed")
+	base := core.Config{Capacity: 1 << 20, K: 2, Policy: core.LNCRA}
+	for _, shards := range []int{1, 16} {
+		for _, attach := range []string{"nothing", "registry", "whatif"} {
+			t.Run(fmt.Sprintf("shards=%d/%s", shards, attach), func(t *testing.T) {
+				cfg := Config{Shards: shards, Cache: base, Now: zeroClock}
+				switch attach {
+				case "registry":
+					cfg.Registry = telemetry.NewRegistry()
+				case "whatif":
+					m, err := whatif.New(whatif.Config{Base: base, SampleRate: 1 << 10})
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg.WhatIf = m
+				}
+				s := newSharded(t, cfg)
+				defer s.Close()
+				s.Reference(core.Request{QueryID: id, Time: 1, Size: 256, Cost: 50})
+				req := core.Request{QueryID: id, Time: 3, Size: 256, Cost: 50}
+				if allocs := testing.AllocsPerRun(1000, func() {
+					if hit, _ := s.Reference(req); !hit {
+						t.Fatal("locked reference missed")
+					}
+				}); allocs != 0 {
+					t.Errorf("locked hit path allocates %.1f per reference, want 0", allocs)
+				}
+				if cfg.WhatIf != nil {
+					if rep := cfg.WhatIf.Report(0); rep.RefsSampled != 0 || rep.RefsSeen == 0 {
+						t.Fatalf("what-if saw %d refs and sampled %d: the unsampled path did not run",
+							rep.RefsSeen, rep.RefsSampled)
+					}
+				}
+			})
 		}
-	}); allocs != 0 {
-		t.Errorf("recorder-detached locked hit path allocates %.1f per reference, want 0", allocs)
 	}
 }
 

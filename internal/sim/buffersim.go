@@ -119,61 +119,78 @@ func RunBufferSim(db *relation.Database, templates []*workload.Template, cfg Buf
 	// The reference-set counters only track queries that have executed at
 	// least once (only those contributed page references). A query admitted
 	// on its very first miss is accounted for right after its execution
-	// below, so OnAdmit/OnEvict only adjust counts for already-executed
-	// queries.
+	// below, so admissions and evictions only adjust counts for
+	// already-executed queries.
 	var hintErr error
+	onAdmit := func(e *core.Entry) {
+		if cfg.P0 < 0 || hintErr != nil {
+			return
+		}
+		qi := queries[e.ID]
+		if qi == nil || !qi.executed {
+			return
+		}
+		pages, err := pagesOf(qi)
+		if err != nil {
+			hintErr = err
+			return
+		}
+		for _, pid := range pages {
+			cachedCount[denseIndex[pid]]++
+		}
+		// The paper's hint moves *all* p₀-redundant pages to the LRU
+		// end, not only the pages of the newly cached set. At p₀ = 0
+		// every referenced page trivially qualifies — the "modified LRU
+		// degenerates to MRU" case of Figure 7.
+		result.HintsSent++
+		for _, pid := range pool.LRUOrder() {
+			di := denseIndex[pid]
+			if refCount[di] > 0 && float64(cachedCount[di]) >= cfg.P0*float64(refCount[di]) {
+				pool.Demote(pid)
+				result.PagesDemoted++
+			}
+		}
+	}
+	onEvict := func(e *core.Entry) {
+		if cfg.P0 < 0 || hintErr != nil {
+			return
+		}
+		qi := queries[e.ID]
+		if qi == nil || !qi.executed {
+			return
+		}
+		pages, err := pagesOf(qi)
+		if err != nil {
+			hintErr = err
+			return
+		}
+		for _, pid := range pages {
+			if di := denseIndex[pid]; cachedCount[di] > 0 {
+				cachedCount[di]--
+			}
+		}
+	}
+	// A set leaves the cache on a replacement eviction, or when a
+	// coherence event drops it while resident.
 	wm, err := core.New(core.Config{
 		Capacity: cfg.CacheBytes,
 		K:        4,
 		Policy:   core.LNCRA,
-		OnAdmit: func(e *core.Entry) {
-			if cfg.P0 < 0 || hintErr != nil {
-				return
-			}
-			qi := queries[e.ID]
-			if qi == nil || !qi.executed {
-				return
-			}
-			pages, err := pagesOf(qi)
-			if err != nil {
-				hintErr = err
-				return
-			}
-			for _, pid := range pages {
-				cachedCount[denseIndex[pid]]++
-			}
-			// The paper's hint moves *all* p₀-redundant pages to the LRU
-			// end, not only the pages of the newly cached set. At p₀ = 0
-			// every referenced page trivially qualifies — the "modified LRU
-			// degenerates to MRU" case of Figure 7.
-			result.HintsSent++
-			for _, pid := range pool.LRUOrder() {
-				di := denseIndex[pid]
-				if refCount[di] > 0 && float64(cachedCount[di]) >= cfg.P0*float64(refCount[di]) {
-					pool.Demote(pid)
-					result.PagesDemoted++
+		Sink: core.EventSinkFunc(func(ev core.Event) {
+			switch ev.Kind {
+			case core.EventMissAdmitted:
+				onAdmit(ev.Entry)
+			case core.EventEvict:
+				onEvict(ev.Entry)
+			case core.EventInvalidate:
+				if ev.Resident {
+					onEvict(ev.Entry)
 				}
+			case core.EventHit, core.EventMissRejected, core.EventExternalMiss,
+				core.EventHitDerived, core.EventRestore:
+				// Only residency changes move the reference-set counters.
 			}
-		},
-		OnEvict: func(e *core.Entry) {
-			if cfg.P0 < 0 || hintErr != nil {
-				return
-			}
-			qi := queries[e.ID]
-			if qi == nil || !qi.executed {
-				return
-			}
-			pages, err := pagesOf(qi)
-			if err != nil {
-				hintErr = err
-				return
-			}
-			for _, pid := range pages {
-				if di := denseIndex[pid]; cachedCount[di] > 0 {
-					cachedCount[di]--
-				}
-			}
-		},
+		}),
 	})
 	if err != nil {
 		return result, err
