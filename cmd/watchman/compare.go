@@ -53,7 +53,7 @@ func cmdCompare(args []string) error {
 	cachePct := fs.Float64("cache-pct", 1, "cache size as % of database size")
 	cacheBytes := fs.Int64("cache-bytes", 0, "cache size in bytes (overrides -cache-pct)")
 	window := fs.Int("window", admission.DefaultWindow, "adaptive tuner: references per tuning round")
-	restart := fs.Bool("restart", false, "run the warm-vs-cold restart experiment instead: replay half the trace, snapshot + restore through the persist codec, replay the rest, and compare second-half cost savings against the uninterrupted and cold-restart runs (always LNC-RA)")
+	restart := fs.Bool("restart", false, "run the warm-vs-cold restart experiment instead: replay half the trace, snapshot + restore through the daemon's snapshot path, replay the rest, and compare second-half cost savings against the uninterrupted and cold-restart runs (always LNC-RA)")
 	explain := fs.Bool("explain", false, "after the comparison table, print each policy's regret report: the top rejected-then-re-referenced signatures ranked by cost forgone, with the last rejection's profit-vs-θ·bar inputs")
 	whatifOn := fs.Bool("whatif", false, "run the ghost-matrix experiment instead: one real lnc-ra replay with the sampled what-if grid attached, reporting estimated CSR per (capacity ladder × policy) cell and the advisor verdict")
 	whatifSample := fs.Int("whatif-sample", whatif.DefaultSampleRate, "what-if matrix: replay 1 in R references into ghosts scaled by 1/R (needs -whatif)")
@@ -325,7 +325,7 @@ func compareRestart(tr *trace.Trace, capacity int64, k int) error {
 // registry attached for the per-class breakdown. The name
 // "lnc-ra-adaptive" (or "adaptive") selects the shadow-tuned admitter and
 // "lnc-ra-derive" (or "derive") the semantic derivation subsystem;
-// everything else resolves through parsePolicy.
+// everything else resolves through core.ParsePolicy.
 func compareOne(tr *trace.Trace, name string, capacity int64, k, window int, explain bool) (compareRow, error) {
 	reg := telemetry.NewRegistry()
 	// With -explain, a regret tracker rides the same event stream as the
@@ -343,11 +343,11 @@ func compareOne(tr *trace.Trace, name string, capacity int64, k, window int, exp
 		}
 		return row
 	}
+	cfg := core.Config{Capacity: capacity, K: k, Sink: core.MultiSink(sink, reg)}
+	suffix := ""
 	switch strings.ToLower(name) {
 	case "lnc-ra-adaptive", "lncra-adaptive", "adaptive":
-		res, _, err := sim.ReplayAdaptive(tr,
-			core.Config{Capacity: capacity, K: k, Sink: core.MultiSink(sink, reg)},
-			admission.Config{Window: window})
+		res, _, err := sim.ReplayAdaptive(tr, cfg, admission.Config{Window: window})
 		if err != nil {
 			return compareRow{}, err
 		}
@@ -358,22 +358,19 @@ func compareOne(tr *trace.Trace, name string, capacity int64, k, window int, exp
 				"policy %s needs plan descriptors, but trace %q carries none: regenerate it with a descriptor-aware workload (e.g. 'watchman trace -benchmark drilldown') or replay a policy without derivation",
 				name, tr.Name)
 		}
-		res, _, _, err := sim.ReplayDerived(tr,
-			core.Config{Capacity: capacity, K: k, Policy: core.LNCRA, Sink: core.MultiSink(sink, reg)},
-			derive.Config{})
-		if err != nil {
-			return compareRow{}, err
-		}
-		return finish(compareRow{label: res.Policy + "+derive", stats: res.Stats, classes: reg.Snapshot().Classes}), nil
+		cfg.Policy = core.LNCRA
+		cfg.Deriver = derive.New(derive.Config{})
+		suffix = "+derive"
 	default:
-		pk, err := parsePolicy(name)
+		pk, err := core.ParsePolicy(name)
 		if err != nil {
 			return compareRow{}, err
 		}
-		res, _, err := sim.ReplayWithRegistry(tr, core.Config{Capacity: capacity, K: k, Policy: pk, Sink: sink}, reg)
-		if err != nil {
-			return compareRow{}, err
-		}
-		return finish(compareRow{label: res.Policy, stats: res.Stats, classes: reg.Snapshot().Classes}), nil
+		cfg.Policy = pk
 	}
+	res, _, err := sim.Replay(tr, cfg)
+	if err != nil {
+		return compareRow{}, err
+	}
+	return finish(compareRow{label: res.Policy + suffix, stats: res.Stats, classes: reg.Snapshot().Classes}), nil
 }

@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -197,26 +196,6 @@ func cmdInspect(args []string) error {
 	return pt.Render(os.Stdout)
 }
 
-// parsePolicy maps a CLI name to a policy kind.
-func parsePolicy(name string) (core.PolicyKind, error) {
-	switch strings.ToLower(name) {
-	case "lru":
-		return core.LRU, nil
-	case "lru-k", "lruk":
-		return core.LRUK, nil
-	case "lfu":
-		return core.LFU, nil
-	case "lcs":
-		return core.LCS, nil
-	case "lnc-r", "lncr":
-		return core.LNCR, nil
-	case "lnc-ra", "lncra":
-		return core.LNCRA, nil
-	default:
-		return 0, fmt.Errorf("unknown policy %q (want lru, lru-k, lfu, lcs, lnc-r or lnc-ra)", name)
-	}
-}
-
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	in := fs.String("i", "", "trace file (generate with 'watchman trace')")
@@ -244,7 +223,7 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	pk, err := parsePolicy(*policy)
+	pk, err := core.ParsePolicy(*policy)
 	if err != nil {
 		return err
 	}

@@ -4,28 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/core"
 )
-
-func TestParsePolicy(t *testing.T) {
-	cases := map[string]core.PolicyKind{
-		"lru": core.LRU, "LRU": core.LRU,
-		"lru-k": core.LRUK, "lruk": core.LRUK,
-		"lfu": core.LFU, "lcs": core.LCS,
-		"lnc-r": core.LNCR, "lncr": core.LNCR,
-		"lnc-ra": core.LNCRA, "LNC-RA": core.LNCRA,
-	}
-	for in, want := range cases {
-		got, err := parsePolicy(in)
-		if err != nil || got != want {
-			t.Errorf("parsePolicy(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := parsePolicy("unknown"); err == nil {
-		t.Error("unknown policy must error")
-	}
-}
 
 func TestGenerateTraceBenchmarks(t *testing.T) {
 	for _, b := range []string{"tpcd", "setquery", "multiclass"} {

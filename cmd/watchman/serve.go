@@ -53,7 +53,7 @@ func addShardedFlags(fs *flag.FlagSet) shardedFlags {
 
 // coreConfig resolves the flags into a per-cache configuration.
 func (f shardedFlags) coreConfig(capacity int64) (core.Config, error) {
-	pk, err := parsePolicy(*f.policy)
+	pk, err := core.ParsePolicy(*f.policy)
 	if err != nil {
 		return core.Config{}, err
 	}
@@ -360,18 +360,7 @@ func cmdLoadgen(args []string) error {
 			return fmt.Errorf("loadgen: %w", err)
 		}
 		ref = func(rec *trace.Record) (bool, error) {
-			req := shard.Request{
-				QueryID:   rec.QueryID,
-				Time:      rec.Time,
-				Class:     rec.Class,
-				Size:      rec.Size,
-				Cost:      rec.Cost,
-				Relations: rec.Relations,
-			}
-			if rec.Plan != nil {
-				req.Plan = rec.Plan
-			}
-			hit, _ := sc.Reference(req)
+			hit, _ := sc.Reference(sim.Request(rec))
 			return hit, nil
 		}
 	}

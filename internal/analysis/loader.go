@@ -12,6 +12,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -156,7 +157,8 @@ func (l *Loader) discover() ([]string, error) {
 	return rels, err
 }
 
-// goFiles lists the directory's non-test Go files, sorted.
+// goFiles lists the directory's non-test Go files that the default build
+// compiles (build constraints honored), sorted.
 func goFiles(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -167,6 +169,11 @@ func goFiles(dir string) ([]string, error) {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
 			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		files = append(files, filepath.Join(dir, name))

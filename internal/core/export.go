@@ -1,13 +1,13 @@
 package core
 
-// Chunked state export: the incremental counterpart of ExportState. A
-// concurrent wrapper that cannot afford one long critical section per
-// shard captures the cache-level header once (ExportBegin), then drains
-// the entries in bounded slices (ExportChunk), re-acquiring its lock
-// around each call. The cursor's sorted ID list is the epoch fence:
-// entries present at ExportBegin are visited exactly once, in the same
-// ascending-ID order ExportState uses, so a quiesced chunked export
-// concatenates to exactly the ExportState output. Entries that vanish
+// Chunked state export, the one entry-copy path: ExportState drains a
+// cursor in a single chunk, and a concurrent wrapper that cannot afford
+// one long critical section per shard captures the cache-level header
+// once (ExportBegin), then drains the entries in bounded slices
+// (ExportChunk), re-acquiring its lock around each call. The cursor's
+// sorted ID list is the epoch fence: entries present at ExportBegin are
+// visited exactly once, in ascending ID order, so a quiesced chunked
+// export concatenates to exactly the ExportState output. Entries that vanish
 // between chunks (eviction, invalidation) are skipped; entries mutated
 // between chunks export their current state — both shapes RestoreState
 // tolerates (see docs/PERSISTENCE.md, "Streaming capture & consistency").
@@ -95,8 +95,7 @@ func (c *Cache) ExportChunk(cur *ExportCursor, maxEntries int, scratch []EntrySt
 
 // exportEntryInto copies one entry into st, overwriting every field and
 // reusing st's slice capacity. Payload and Plan are shared interface
-// values, exactly as exportEntry shares them: both are immutable by
-// system-wide convention.
+// values: both are immutable by system-wide convention.
 func exportEntryInto(e *Entry, st *EntryState) {
 	st.ID = e.ID
 	st.Size = e.Size

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // PolicyKind selects a cache replacement (and, for LNC-RA, admission)
 // policy.
@@ -47,6 +50,28 @@ func (p PolicyKind) String() string {
 		return "LNC-RA"
 	default:
 		return fmt.Sprintf("PolicyKind(%d)", int(p))
+	}
+}
+
+// ParsePolicy maps a policy name to its kind, case-insensitively. It
+// accepts the lowercase String forms and their hyphenless aliases
+// ("lruk", "lncr", "lncra").
+func ParsePolicy(name string) (PolicyKind, error) {
+	switch strings.ToLower(name) {
+	case "lru":
+		return LRU, nil
+	case "lru-k", "lruk":
+		return LRUK, nil
+	case "lfu":
+		return LFU, nil
+	case "lcs":
+		return LCS, nil
+	case "lnc-r", "lncr":
+		return LNCR, nil
+	case "lnc-ra", "lncra":
+		return LNCRA, nil
+	default:
+		return 0, fmt.Errorf("unknown policy %q (want lru, lru-k, lfu, lcs, lnc-r or lnc-ra)", name)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -22,6 +23,31 @@ func TestPolicyKindString(t *testing.T) {
 	for k, want := range cases {
 		if got := k.String(); got != want {
 			t.Errorf("String(%d) = %q, want %q", int(k), got, want)
+		}
+	}
+}
+
+func TestParsePolicy(t *testing.T) {
+	cases := map[string]PolicyKind{
+		"lru": LRU, "LRU": LRU,
+		"lru-k": LRUK, "lruk": LRUK,
+		"lfu": LFU, "lcs": LCS,
+		"lnc-r": LNCR, "lncr": LNCR,
+		"lnc-ra": LNCRA, "LNC-RA": LNCRA,
+	}
+	for in, want := range cases {
+		got, err := ParsePolicy(in)
+		if err != nil || got != want {
+			t.Errorf("ParsePolicy(%q) = %v, %v", in, got, err)
+		}
+	}
+	if _, err := ParsePolicy("unknown"); err == nil {
+		t.Error("unknown policy must error")
+	}
+	// Every kind's display name, lowercased, parses back to the kind.
+	for _, k := range []PolicyKind{LRU, LRUK, LFU, LCS, LNCR, LNCRA} {
+		if got, err := ParsePolicy(strings.ToLower(k.String())); err != nil || got != k {
+			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", strings.ToLower(k.String()), got, err, k)
 		}
 	}
 }

@@ -87,14 +87,6 @@ type RestoreReport struct {
 	Dropped int
 }
 
-// export copies the window's valid reference times, oldest first.
-func (w *refWindow) export() []float64 {
-	if w.n == 0 {
-		return nil
-	}
-	return w.exportInto(make([]float64, 0, w.n))
-}
-
 // restoreWindow rebuilds a K-sized window from exported times (oldest
 // first) and the lifetime total. When the exported window is wider than
 // K (a restore into a smaller K), only the most recent K times survive —
@@ -108,57 +100,18 @@ func restoreWindow(k int, times []float64, total int64) refWindow {
 	return w
 }
 
-// exportEntry copies one entry into its exportable form.
-func exportEntry(e *Entry) EntryState {
-	st := EntryState{
-		ID:        e.ID,
-		Size:      e.Size,
-		Cost:      e.Cost,
-		Class:     e.Class,
-		Resident:  e.resident,
-		RefTimes:  e.window.export(),
-		TotalRefs: e.window.totalRefs(),
-		Payload:   e.Payload,
-		Plan:      e.Plan,
-	}
-	if len(e.Relations) > 0 {
-		st.Relations = append([]string(nil), e.Relations...)
-	}
-	return st
-}
-
 // ExportState captures the cache's full learned state: every resident and
 // retained record with its reference history, the λ-estimator context and
 // the cumulative Stats. The export is copy-on-read — it shares no mutable
 // structure with the cache — so a concurrent wrapper can serialize it
-// after releasing its lock. Entries come out in ascending ID order, so
-// two captures of identical caches are identical.
+// after releasing its lock. It drains one ExportBegin cursor in a single
+// chunk, so entries come out in ascending ID order and two captures of
+// identical caches are identical.
 func (c *Cache) ExportState() *CacheState {
-	st := &CacheState{
-		Capacity:         c.cfg.Capacity,
-		K:                c.cfg.K,
-		Policy:           c.cfg.Policy,
-		Clock:            c.now,
-		FirstTime:        c.firstTime,
-		HaveFirst:        c.haveFirst,
-		MinDt:            c.rc.minDt,
-		MissesSincePrune: c.missesSincePrune,
-		Stats:            c.stats,
-		Entries:          make([]EntryState, 0, c.resident+len(c.retained)),
-	}
-	for _, bucket := range c.index {
-		for _, e := range bucket {
-			st.Entries = append(st.Entries, exportEntry(e))
-		}
-	}
-	sortEntryStates(st.Entries)
+	cur := c.ExportBegin()
+	st := cur.Header
+	st.Entries, _ = c.ExportChunk(cur, cur.Remaining(), make([]EntryState, 0, cur.Remaining()))
 	return st
-}
-
-// sortEntryStates orders exported entries by ID, making exports of
-// identical caches byte-identical.
-func sortEntryStates(es []EntryState) {
-	sort.Slice(es, func(i, j int) bool { return es[i].ID < es[j].ID })
 }
 
 // RestoreState pours an exported state into the cache. The cache must be

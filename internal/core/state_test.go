@@ -229,16 +229,16 @@ func TestWindowExportRestore(t *testing.T) {
 	for _, ts := range []float64{1, 2, 5, 9} {
 		w.record(ts)
 	}
-	times := w.export()
+	times := w.exportInto(nil)
 	if want := []float64{2, 5, 9}; !reflect.DeepEqual(times, want) {
 		t.Fatalf("export = %v, want %v", times, want)
 	}
 	same := restoreWindow(3, times, w.totalRefs())
-	if !reflect.DeepEqual(same.export(), times) || same.totalRefs() != 4 {
-		t.Fatalf("round trip = %v/%d", same.export(), same.totalRefs())
+	if !reflect.DeepEqual(same.exportInto(nil), times) || same.totalRefs() != 4 {
+		t.Fatalf("round trip = %v/%d", same.exportInto(nil), same.totalRefs())
 	}
 	shrunk := restoreWindow(2, times, w.totalRefs())
-	if want := []float64{5, 9}; !reflect.DeepEqual(shrunk.export(), want) {
-		t.Fatalf("shrunk restore = %v, want %v", shrunk.export(), want)
+	if want := []float64{5, 9}; !reflect.DeepEqual(shrunk.exportInto(nil), want) {
+		t.Fatalf("shrunk restore = %v, want %v", shrunk.exportInto(nil), want)
 	}
 }

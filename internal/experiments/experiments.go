@@ -99,10 +99,10 @@ func (s *Suite) traces() ([]*trace.Trace, []string, error) {
 	return []*trace.Trace{td, sq}, []string{"TPC-D", "Set Query"}, nil
 }
 
-// standardSetups are the policies of Figures 4–6: LNC-RA and LNC-R with
+// standardConfigs are the policies of Figures 4–6: LNC-RA and LNC-R with
 // K = 4 and vanilla LRU (K = 1), as in §4.2.
-func standardSetups() []sim.Setup {
-	return []sim.Setup{
+func standardConfigs() []core.Config {
+	return []core.Config{
 		{Policy: core.LNCRA, K: 4},
 		{Policy: core.LNCR, K: 4},
 		{Policy: core.LRU, K: 1},
@@ -121,7 +121,7 @@ func (s *Suite) sweep(tr *trace.Trace) ([]sim.SweepPoint, error) {
 	if pts, ok := s.sweeps[tr.Name]; ok {
 		return pts, nil
 	}
-	pts, err := sim.Sweep(tr, standardPcts, standardSetups())
+	pts, err := sim.Sweep(tr, standardPcts, standardConfigs())
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +139,9 @@ func (s *Suite) Figure2() (*metrics.Table, error) {
 	t := metrics.NewTable("Figure 2: performance with infinite cache",
 		"trace", "CSR", "HR", "cache size", "db size")
 	for i, tr := range traces {
-		res, err := sim.InfiniteCache(tr, 4)
+		// Any policy gives the same hits with infinite space; LNC-RA
+		// matches the paper's setup.
+		res, _, err := sim.Replay(tr, core.Config{Capacity: core.Unlimited, K: 4, Policy: core.LNCRA})
 		if err != nil {
 			return nil, err
 		}
@@ -166,11 +168,11 @@ func (s *Suite) Figure3() ([]*metrics.Table, error) {
 		lnc := &metrics.Series{Name: "LNC-RA"}
 		lruk := &metrics.Series{Name: "LRU-K"}
 		for k := 1; k <= 5; k++ {
-			r1, err := sim.ReplaySetup(tr, sim.Setup{Policy: core.LNCRA, K: k}, capacity)
+			r1, _, err := sim.Replay(tr, core.Config{Capacity: capacity, K: k, Policy: core.LNCRA})
 			if err != nil {
 				return nil, err
 			}
-			r2, err := sim.ReplaySetup(tr, sim.Setup{Policy: core.LRUK, K: k}, capacity)
+			r2, _, err := sim.Replay(tr, core.Config{Capacity: capacity, K: k, Policy: core.LRUK})
 			if err != nil {
 				return nil, err
 			}
@@ -217,7 +219,7 @@ func (s *Suite) sweepTables(figure, metric string, value func(sim.Result) float6
 		series := make(map[string]*metrics.Series)
 		var order []string
 		for _, p := range pts {
-			name := p.Setup.Policy.String()
+			name := p.Config.Policy.String()
 			sr, ok := series[name]
 			if !ok {
 				sr = &metrics.Series{Name: name}
@@ -257,10 +259,11 @@ func (s *Suite) Figure6() ([]*metrics.Table, error) {
 	var tables []*metrics.Table
 	for i, tr := range traces {
 		var list []*metrics.Series
-		for _, setup := range standardSetups() {
-			sr := &metrics.Series{Name: setup.Policy.String()}
+		for _, cfg := range standardConfigs() {
+			sr := &metrics.Series{Name: cfg.Policy.String()}
 			for _, pct := range fragPcts {
-				res, err := sim.ReplaySetup(tr, setup, sim.CacheBytesForFraction(tr, pct))
+				cfg.Capacity = sim.CacheBytesForFraction(tr, pct)
+				res, _, err := sim.Replay(tr, cfg)
 				if err != nil {
 					return nil, err
 				}
@@ -388,11 +391,11 @@ func (s *Suite) AblationRetained() (*metrics.Table, error) {
 	for i, tr := range traces {
 		for _, pct := range []float64{0.5, 1} {
 			capacity := sim.CacheBytesForFraction(tr, pct)
-			on, err := sim.ReplaySetup(tr, sim.Setup{Policy: core.LNCRA, K: 4}, capacity)
+			on, _, err := sim.Replay(tr, core.Config{Capacity: capacity, K: 4, Policy: core.LNCRA})
 			if err != nil {
 				return nil, err
 			}
-			off, err := sim.ReplaySetup(tr, sim.Setup{Policy: core.LNCRA, K: 4, DisableRetained: true}, capacity)
+			off, _, err := sim.Replay(tr, core.Config{Capacity: capacity, K: 4, Policy: core.LNCRA, DisableRetainedInfo: true})
 			if err != nil {
 				return nil, err
 			}
@@ -417,11 +420,11 @@ func (s *Suite) Multiclass() (*metrics.Table, error) {
 	lnc := &metrics.Series{Name: "LNC-RA"}
 	lruk := &metrics.Series{Name: "LRU-K"}
 	for k := 1; k <= 5; k++ {
-		r1, err := sim.ReplaySetup(tr, sim.Setup{Policy: core.LNCRA, K: k}, capacity)
+		r1, _, err := sim.Replay(tr, core.Config{Capacity: capacity, K: k, Policy: core.LNCRA})
 		if err != nil {
 			return nil, err
 		}
-		r2, err := sim.ReplaySetup(tr, sim.Setup{Policy: core.LRUK, K: k}, capacity)
+		r2, _, err := sim.Replay(tr, core.Config{Capacity: capacity, K: k, Policy: core.LRUK})
 		if err != nil {
 			return nil, err
 		}
@@ -440,7 +443,7 @@ func (s *Suite) Baselines() (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	setups := []sim.Setup{
+	cfgs := []core.Config{
 		{Policy: core.LNCRA, K: 4},
 		{Policy: core.LNCR, K: 4},
 		{Policy: core.LRUK, K: 4},
@@ -452,12 +455,13 @@ func (s *Suite) Baselines() (*metrics.Table, error) {
 		"trace", "policy", "CSR", "HR")
 	for i, tr := range traces {
 		capacity := sim.CacheBytesForFraction(tr, 1)
-		for _, setup := range setups {
-			res, err := sim.ReplaySetup(tr, setup, capacity)
+		for _, cfg := range cfgs {
+			cfg.Capacity = capacity
+			res, _, err := sim.Replay(tr, cfg)
 			if err != nil {
 				return nil, err
 			}
-			t.AddRow(names[i], setup.Policy.String(),
+			t.AddRow(names[i], cfg.Policy.String(),
 				metrics.Ratio(res.CSR()), metrics.Ratio(res.HR()))
 		}
 	}

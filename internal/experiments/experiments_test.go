@@ -179,7 +179,7 @@ func TestAblationStrictTiers(t *testing.T) {
 	}
 	capacity := sim.CacheBytesForFraction(tr, 1)
 	csr := func(k int, strict bool) float64 {
-		res, err := sim.ReplaySetup(tr, sim.Setup{Policy: core.LNCRA, K: k, StrictTiers: strict}, capacity)
+		res, _, err := sim.Replay(tr, core.Config{Capacity: capacity, K: k, Policy: core.LNCRA, StrictTiers: strict})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,7 @@ func encodeSample(t testing.TB) []byte {
 			Relations: []string{"rel"}, Payload: []byte("payload-" + id)})
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, SnapshotCache(c, nil)); err != nil {
+	if err := Write(&buf, &Snapshot{Clock: c.Clock(), Shards: []*core.CacheState{c.ExportState()}}); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -701,34 +701,3 @@ func Read(r io.Reader) (*Snapshot, error) {
 	}
 	return snap, nil
 }
-
-// SnapshotCache captures a single-threaded cache as a one-shard Snapshot,
-// optionally with a tuner's admission state. It pairs with RestoreCache
-// for the simulator's restart experiments and library users of
-// core.Cache; the sharded serving stack uses shard.Sharded's own
-// Snapshot/Restore.
-func SnapshotCache(c *core.Cache, tuner *admission.Tuner) *Snapshot {
-	snap := &Snapshot{Clock: c.Clock(), Shards: []*core.CacheState{c.ExportState()}}
-	if tuner != nil {
-		snap.Admission = tuner.ExportState()
-	}
-	return snap
-}
-
-// RestoreCache pours a one-shard snapshot into a freshly constructed
-// cache (and, when both are present, the tuner state into a fresh tuner).
-func RestoreCache(c *core.Cache, tuner *admission.Tuner, snap *Snapshot) (core.RestoreReport, error) {
-	if len(snap.Shards) != 1 {
-		return core.RestoreReport{}, fmt.Errorf("persist: snapshot holds %d shards; a single cache restores exactly one (use shard.Sharded.Restore)", len(snap.Shards))
-	}
-	rep, err := c.RestoreState(snap.Shards[0])
-	if err != nil {
-		return rep, err
-	}
-	if tuner != nil && snap.Admission != nil {
-		if err := tuner.RestoreState(snap.Admission); err != nil {
-			return rep, err
-		}
-	}
-	return rep, nil
-}

@@ -176,9 +176,10 @@ func TestPayloadKinds(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestoreCacheHelpers covers the single-cache convenience
-// pair the simulator uses.
-func TestSnapshotRestoreCacheHelpers(t *testing.T) {
+// TestSingleCacheRoundTrip covers the one-shard image of a serial cache:
+// its exported state and a tuner's survive Write → Read, and restore into
+// a fresh cache and tuner through RestoreState on Shards[0].
+func TestSingleCacheRoundTrip(t *testing.T) {
 	cfg := core.Config{Capacity: 16 << 10, K: 2, Policy: core.LNCRA}
 	c, err := core.New(cfg)
 	if err != nil {
@@ -191,10 +192,7 @@ func TestSnapshotRestoreCacheHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := SnapshotCache(c, tuner)
-	if len(snap.Shards) != 1 || snap.Admission == nil {
-		t.Fatalf("snapshot shape: %d shards, admission %v", len(snap.Shards), snap.Admission)
-	}
+	snap := &Snapshot{Clock: c.Clock(), Shards: []*core.CacheState{c.ExportState()}, Admission: tuner.ExportState()}
 	var buf bytes.Buffer
 	if err := Write(&buf, snap); err != nil {
 		t.Fatal(err)
@@ -202,6 +200,9 @@ func TestSnapshotRestoreCacheHelpers(t *testing.T) {
 	dec, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(dec.Shards) != 1 || dec.Admission == nil {
+		t.Fatalf("decoded shape: %d shards, admission %v", len(dec.Shards), dec.Admission)
 	}
 	fresh, err := core.New(cfg)
 	if err != nil {
@@ -211,15 +212,16 @@ func TestSnapshotRestoreCacheHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RestoreCache(fresh, freshTuner, dec); err != nil {
+	if _, err := fresh.RestoreState(dec.Shards[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := freshTuner.RestoreState(dec.Admission); err != nil {
 		t.Fatal(err)
 	}
 	if fresh.Stats() != c.Stats() || fresh.Resident() != c.Resident() {
 		t.Fatal("restored cache differs")
 	}
-
-	multi := &Snapshot{Shards: []*core.CacheState{{}, {}}}
-	if _, err := RestoreCache(fresh, nil, multi); err == nil {
-		t.Fatal("multi-shard snapshot must not restore into a single cache")
+	if freshTuner.Threshold() != tuner.Threshold() {
+		t.Fatalf("restored θ %g, want %g", freshTuner.Threshold(), tuner.Threshold())
 	}
 }

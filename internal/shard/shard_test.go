@@ -10,7 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/sim"
+	"repro/internal/raceflag"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/whatif"
@@ -408,11 +408,14 @@ func TestConcurrentParityWithCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	capacity := sim.CacheBytesForFraction(tr, 1)
+	capacity := onePercent(tr)
 
-	serial, _, err := sim.Replay(tr, core.Config{Capacity: capacity, K: 4, Policy: core.LNCRA})
+	serial, err := core.New(core.Config{Capacity: capacity, K: 4, Policy: core.LNCRA})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i := range tr.Records {
+		serial.Reference(traceReq(&tr.Records[i]))
 	}
 
 	s := newSharded(t, Config{Shards: 8, Cache: core.Config{Capacity: capacity, K: 4, Policy: core.LNCRA}})
@@ -447,12 +450,12 @@ func TestConcurrentParityWithCore(t *testing.T) {
 	if st.References != int64(tr.Len()) {
 		t.Fatalf("replayed %d of %d records", st.References, tr.Len())
 	}
-	got, want := st.CostSavingsRatio(), serial.CSR()
+	got, want := st.CostSavingsRatio(), serial.Stats().CostSavingsRatio()
 	if math.Abs(got-want) > 0.02 {
 		t.Errorf("sharded CSR %.4f vs serial %.4f: diverged by more than 2 points", got, want)
 	}
 	t.Logf("CSR: sharded %.4f, serial %.4f (Δ %.4f); HR: sharded %.4f, serial %.4f",
-		got, want, got-want, st.HitRatio(), serial.HR())
+		got, want, got-want, st.HitRatio(), serial.Stats().HitRatio())
 }
 
 // zeroClock keeps zero-valued request times at zero, so a sharded replay
@@ -482,6 +485,12 @@ func goldenTraces(t *testing.T) map[string]*trace.Trace {
 	return out
 }
 
+// onePercent sizes a cache at 1% of the trace's database, at least one
+// page: the capacity the golden replays use.
+func onePercent(tr *trace.Trace) int64 {
+	return max(int64(float64(tr.DatabaseBytes)/100), 4096)
+}
+
 // traceReq builds the identical request both the serial and the sharded
 // replays submit for one trace record.
 func traceReq(rec *trace.Record) core.Request {
@@ -502,7 +511,7 @@ func traceReq(rec *trace.Record) core.Request {
 func TestShardedGoldenEquivalence(t *testing.T) {
 	for name, tr := range goldenTraces(t) {
 		t.Run(name, func(t *testing.T) {
-			ccfg := core.Config{Capacity: sim.CacheBytesForFraction(tr, 1), K: 4, Policy: core.LNCRA}
+			ccfg := core.Config{Capacity: onePercent(tr), K: 4, Policy: core.LNCRA}
 			serial, err := core.New(ccfg)
 			if err != nil {
 				t.Fatal(err)
@@ -560,7 +569,7 @@ func TestHitPathAllocs(t *testing.T) {
 					if hit, _ := s.Reference(req); !hit {
 						t.Fatal("locked reference missed")
 					}
-				}); allocs != 0 {
+				}); allocs != 0 && !raceflag.Enabled {
 					t.Errorf("locked hit path allocates %.1f per reference, want 0", allocs)
 				}
 				if cfg.WhatIf != nil {

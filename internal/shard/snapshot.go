@@ -1,11 +1,11 @@
 package shard
 
-// Snapshot persistence for the concurrent layer. Export is copy-on-read:
-// each shard's state is deep-copied under that shard's mutex only (one
-// shard at a time — traffic on the other shards keeps flowing), and the
-// expensive serialization runs outside every lock. Restore is the
-// inverse and must happen before serving begins: each shard's core cache
-// enforces that it has served nothing yet.
+// Snapshot persistence for the concurrent layer. Capture is copy-on-read
+// and chunked: each shard's entries are deep-copied in bounded slices
+// under that shard's mutex only (one shard at a time — traffic on the
+// other shards keeps flowing), and the encoding runs outside every lock.
+// Restore is the inverse and must happen before serving begins: each
+// shard's core cache enforces that it has served nothing yet.
 
 import (
 	"context"
@@ -20,43 +20,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/persist"
 )
-
-// ExportState captures every shard's state plus the adaptive tuner's (if
-// any) as a persist.Snapshot. Shards are locked one at a time, so the
-// capture is per-shard consistent, not globally consistent — references
-// that land mid-export appear in some shards and not others, the same
-// tolerance Stats() already has.
-func (s *Sharded) ExportState() *persist.Snapshot {
-	if s.whatif != nil {
-		// Quiesce the ghost matrix relative to the capture point: events
-		// emitted before this call are applied before shards are read, so
-		// a what-if report taken around a snapshot brackets the same
-		// stream prefix the image does.
-		s.whatif.Drain()
-	}
-	snap := &persist.Snapshot{Shards: make([]*core.CacheState, len(s.shards))}
-	for i, sh := range s.shards {
-		sh.mu.Lock()
-		snap.Shards[i] = sh.cache.ExportState()
-		sh.mu.Unlock()
-		if c := snap.Shards[i].Clock; c > snap.Clock {
-			snap.Clock = c
-		}
-	}
-	if s.tuner != nil {
-		snap.Admission = s.tuner.ExportState()
-	}
-	return snap
-}
-
-// Snapshot writes a snapshot of the full cache state to w. It streams:
-// shard state is exported in bounded chunks with the shard lock released
-// between them, and every byte is encoded outside all locks (see
-// StreamSnapshot, which it delegates to).
-func (s *Sharded) Snapshot(w io.Writer) error {
-	_, err := s.StreamSnapshot(w)
-	return err
-}
 
 // snapshotChunkEntries bounds one chunked-export lock slice. At typical
 // entry sizes a 512-entry copy is tens of microseconds — foreground
@@ -81,16 +44,21 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // entries, the shard lock held only per-chunk and released while the
 // chunk is encoded. Entries touched between a shard's chunks surface as
 // either their pre-export or post-mutation state, and the output is
-// byte-identical to persist.Write over ExportState whenever the cache is
-// quiescent (see docs/PERSISTENCE.md, "Streaming capture &
-// consistency").
+// byte-identical to persist.Write over the shards' core ExportState
+// whenever the cache is quiescent (see docs/PERSISTENCE.md, "Streaming
+// capture & consistency"). Shards are visited one at a time, so the
+// capture is per-shard consistent, not globally consistent — references
+// that land mid-capture appear in some shards and not others, the same
+// tolerance Stats() already has.
 //
 // The returned SnapshotInfo has no Path: that belongs to the
 // Snapshotter's file lifecycle.
 func (s *Sharded) StreamSnapshot(w io.Writer) (SnapshotInfo, error) {
 	if s.whatif != nil {
-		// Same drain barrier as ExportState: ghosts quiesce against the
-		// stream prefix this capture will observe.
+		// Quiesce the ghost matrix relative to the capture point: events
+		// emitted before this call are applied before shards are read, so
+		// a what-if report taken around a snapshot brackets the same
+		// stream prefix the image does.
 		s.whatif.Drain()
 	}
 	start := monotime()
@@ -104,8 +72,7 @@ func (s *Sharded) StreamSnapshot(w io.Writer) (SnapshotInfo, error) {
 	// The meta section streams first but declares the snapshot clock (the
 	// max across shards), so sweep the clocks up front. Under live
 	// traffic the declared clock may trail a shard's header clock by the
-	// references that land between this sweep and that shard's export —
-	// the same per-shard consistency ExportState offers.
+	// references that land between this sweep and that shard's export.
 	var clock float64
 	for _, sh := range s.shards {
 		t0 := monotime()
@@ -192,28 +159,32 @@ type RestoreReport struct {
 	Theta         float64
 }
 
-// RestoreSnapshot pours a decoded snapshot into the cache. The shard
+// Restore reads a snapshot from r and pours it into the cache. The shard
 // count must match the snapshot's: entries were partitioned by signature
 // when captured, and restoring N shards' state into M≠N shards would
 // route queries away from their entries. The cache must not have served
 // any traffic yet.
-func (s *Sharded) RestoreSnapshot(snap *persist.Snapshot) (RestoreReport, error) {
+func (s *Sharded) Restore(r io.Reader) (RestoreReport, error) {
 	var rep RestoreReport
+	snap, err := persist.Read(r)
+	if err != nil {
+		return rep, err
+	}
 	if len(snap.Shards) != len(s.shards) {
 		return rep, fmt.Errorf("shard: snapshot captured %d shards but this cache has %d; restart with -shards %d (or discard the snapshot)",
 			len(snap.Shards), len(s.shards), len(snap.Shards))
 	}
 	for i, sh := range s.shards {
 		sh.mu.Lock()
-		r, err := sh.cache.RestoreState(snap.Shards[i])
+		sr, err := sh.cache.RestoreState(snap.Shards[i])
 		sh.mu.Unlock()
 		if err != nil {
 			return rep, fmt.Errorf("shard %d: %w", i, err)
 		}
-		rep.Resident += r.Resident
-		rep.Retained += r.Retained
-		rep.DemotedResident += r.DemotedResident
-		rep.Dropped += r.Dropped
+		rep.Resident += sr.Resident
+		rep.Retained += sr.Retained
+		rep.DemotedResident += sr.DemotedResident
+		rep.Dropped += sr.Dropped
 	}
 	if snap.Admission != nil && s.tuner != nil {
 		if err := s.tuner.RestoreState(snap.Admission); err != nil {
@@ -223,16 +194,6 @@ func (s *Sharded) RestoreSnapshot(snap *persist.Snapshot) (RestoreReport, error)
 		rep.Theta = s.tuner.Threshold()
 	}
 	return rep, nil
-}
-
-// Restore reads a snapshot from r and pours it into the cache. See
-// RestoreSnapshot for the preconditions.
-func (s *Sharded) Restore(r io.Reader) (RestoreReport, error) {
-	snap, err := persist.Read(r)
-	if err != nil {
-		return RestoreReport{}, err
-	}
-	return s.RestoreSnapshot(snap)
 }
 
 // SnapshotInfo describes one completed snapshot write.

@@ -69,7 +69,7 @@ func TestShardedSnapshotRestoreBitIdentical(t *testing.T) {
 	theta := tuner.Threshold()
 
 	var buf bytes.Buffer
-	if err := src.Snapshot(&buf); err != nil {
+	if _, err := src.StreamSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -77,7 +77,7 @@ func TestShardedSnapshotRestoreBitIdentical(t *testing.T) {
 	// Determinism: capturing the same quiesced cache twice yields the
 	// same bytes.
 	var again bytes.Buffer
-	if err := src.Snapshot(&again); err != nil {
+	if _, err := src.StreamSnapshot(&again); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(raw, again.Bytes()) {
@@ -117,7 +117,7 @@ func TestShardedSnapshotRestoreBitIdentical(t *testing.T) {
 
 	// And the restored cache re-snapshots to the same bytes.
 	var rebuf bytes.Buffer
-	if err := dst.Snapshot(&rebuf); err != nil {
+	if _, err := dst.StreamSnapshot(&rebuf); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(raw, rebuf.Bytes()) {
@@ -132,7 +132,7 @@ func TestRestoreShardCountMismatch(t *testing.T) {
 	src := newSharded(t, Config{Shards: 8, Cache: core.Config{Capacity: 64 << 10, Policy: core.LNCRA}, Now: logical()})
 	drive(src, 1, 500)
 	var buf bytes.Buffer
-	if err := src.Snapshot(&buf); err != nil {
+	if _, err := src.StreamSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	dst := newSharded(t, Config{Shards: 4, Cache: core.Config{Capacity: 64 << 10, Policy: core.LNCRA}, Now: logical()})
@@ -166,7 +166,7 @@ func TestRestoreAnnouncesResidencyToSinks(t *testing.T) {
 	src := newSharded(t, Config{Shards: 4, Cache: core.Config{Capacity: 1 << 20, Policy: core.LNCRA}, Now: logical()})
 	drive(src, 9, 800)
 	var buf bytes.Buffer
-	if err := src.Snapshot(&buf); err != nil {
+	if _, err := src.StreamSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	d := newTestDeriver()
@@ -336,7 +336,7 @@ func TestSnapshotUnderConcurrentTraffic(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		var buf bytes.Buffer
-		if err := src.Snapshot(&buf); err != nil {
+		if _, err := src.StreamSnapshot(&buf); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := persist.Read(&buf); err != nil {

@@ -20,10 +20,28 @@ import (
 	"repro/internal/telemetry"
 )
 
+// exportState materializes the whole cache as one persist.Snapshot from
+// each shard's core.ExportState and the tuner's state: the oracle the
+// streaming capture must match on a quiesced cache.
+func exportState(s *Sharded) *persist.Snapshot {
+	snap := &persist.Snapshot{Shards: make([]*core.CacheState, len(s.shards))}
+	for i, sh := range s.shards {
+		sh.mu.Lock()
+		snap.Shards[i] = sh.cache.ExportState()
+		sh.mu.Unlock()
+		snap.Clock = max(snap.Clock, snap.Shards[i].Clock)
+	}
+	if s.tuner != nil {
+		snap.Admission = s.tuner.ExportState()
+	}
+	return snap
+}
+
 // TestStreamSnapshotMatchesWrite is the byte-equivalence acceptance check
 // for the streaming path: on a quiesced cache, StreamSnapshot must emit
-// exactly the bytes of the materialize-then-encode path
-// (persist.Write over ExportState), with the admission section present.
+// exactly the bytes of the materialize-then-encode path (persist.Write
+// over the per-shard core.ExportState), with the admission section
+// present.
 func TestStreamSnapshotMatchesWrite(t *testing.T) {
 	t.Run("locked", func(t *testing.T) {
 		tuner := newTuner(t)
@@ -34,7 +52,7 @@ func TestStreamSnapshotMatchesWrite(t *testing.T) {
 		}
 
 		var want bytes.Buffer
-		if err := persist.Write(&want, s.ExportState()); err != nil {
+		if err := persist.Write(&want, exportState(s)); err != nil {
 			t.Fatal(err)
 		}
 		var got bytes.Buffer

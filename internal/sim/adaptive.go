@@ -49,14 +49,7 @@ func ReplayAdaptive(tr *trace.Trace, cfg core.Config, tcfg admission.Config) (Ad
 		// hand the profile the canonical string the core call returns.
 		var buf [256]byte
 		key, sig := core.Canonical(buf[:0], rec.QueryID)
-		_, _, id := c.ReferenceBytes(core.Request{
-			QueryID:   rec.QueryID,
-			Time:      rec.Time,
-			Class:     rec.Class,
-			Size:      rec.Size,
-			Cost:      rec.Cost,
-			Relations: rec.Relations,
-		}, key, sig)
+		_, _, id := c.ReferenceBytes(Request(rec), key, sig)
 		if profile.Record(admission.Sample{
 			ID: id, Sig: sig, Size: rec.Size, Cost: rec.Cost, Time: rec.Time,
 			Relations: rec.Relations,

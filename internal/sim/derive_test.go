@@ -27,8 +27,8 @@ func TestDrilldownDeriveBeatsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	derived, _, d, err := ReplayDerived(tr,
-		core.Config{Capacity: capacity, K: 4, Policy: core.LNCRA}, derive.Config{})
+	d := derive.New(derive.Config{})
+	derived, _, err := Replay(tr, core.Config{Capacity: capacity, K: 4, Policy: core.LNCRA, Deriver: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestDrilldownDeriveBeatsExact(t *testing.T) {
 	}
 }
 
-// TestReplayDerivedDeterministic pins replay determinism: candidate
+// TestReplayDerivedDeterministic pins derived-replay determinism: candidate
 // selection tie-breaks deterministically, so equal traces and configs
 // give identical stats.
 func TestReplayDerivedDeterministic(t *testing.T) {
@@ -54,11 +54,11 @@ func TestReplayDerivedDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	capacity := CacheBytesForFraction(tr, 1)
-	a, _, _, err := ReplayDerived(tr, core.Config{Capacity: capacity, K: 4, Policy: core.LNCRA}, derive.Config{})
+	a, _, err := Replay(tr, core.Config{Capacity: capacity, K: 4, Policy: core.LNCRA, Deriver: derive.New(derive.Config{})})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, _, err := ReplayDerived(tr, core.Config{Capacity: capacity, K: 4, Policy: core.LNCRA}, derive.Config{})
+	b, _, err := Replay(tr, core.Config{Capacity: capacity, K: 4, Policy: core.LNCRA, Deriver: derive.New(derive.Config{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +77,8 @@ func TestReplayDerivedTelemetry(t *testing.T) {
 	}
 	reg := telemetry.NewRegistry()
 	capacity := CacheBytesForFraction(tr, 1)
-	res, _, _, err := ReplayDerived(tr,
-		core.Config{Capacity: capacity, K: 4, Policy: core.LNCRA, Sink: reg}, derive.Config{})
+	res, _, err := Replay(tr,
+		core.Config{Capacity: capacity, K: 4, Policy: core.LNCRA, Sink: reg, Deriver: derive.New(derive.Config{})})
 	if err != nil {
 		t.Fatal(err)
 	}

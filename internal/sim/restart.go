@@ -3,18 +3,18 @@ package sim
 // The warm-vs-cold restart experiment: how much of the paper's cost
 // savings does snapshot persistence actually preserve across a process
 // restart? The trace is split in half; the first half warms a cache,
-// whose state then makes a full round trip through the persist codec
-// (encode → decode → restore into a fresh cache) before the second half
-// replays. The comparison points are the uninterrupted run (no restart —
-// the upper bound) and a cold restart (all learned state discarded — what
-// a restart costs without persistence).
+// whose state then makes a full round trip through the snapshot file
+// format (stream → decode → restore into a fresh cache) before the
+// second half replays. The comparison points are the uninterrupted run
+// (no restart — the upper bound) and a cold restart (all learned state
+// discarded — what a restart costs without persistence).
 
 import (
 	"bytes"
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/persist"
+	"repro/internal/shard"
 	"repro/internal/trace"
 )
 
@@ -50,36 +50,21 @@ func secondHalf(end, checkpoint core.Stats) core.Stats {
 	return end
 }
 
-// replaySegment feeds records[from:to) through the cache.
-func replaySegment(c *core.Cache, tr *trace.Trace, from, to int) {
-	for i := from; i < to; i++ {
-		rec := &tr.Records[i]
-		req := core.Request{
-			QueryID:   rec.QueryID,
-			Time:      rec.Time,
-			Class:     rec.Class,
-			Size:      rec.Size,
-			Cost:      rec.Cost,
-			Relations: rec.Relations,
-		}
-		if rec.Plan != nil {
-			req.Plan = rec.Plan
-		}
-		c.Reference(req)
-	}
-}
-
 // ReplayRestart runs the restart experiment on the trace with the given
-// cache configuration: replay the first half, snapshot through the real
-// persist codec, restore into a fresh cache, replay the rest, and compare
-// the second-half accounting against the uninterrupted and cold-restart
-// runs. The trace must hold at least two records.
+// cache configuration: replay the first half, snapshot, restore into a
+// fresh cache, replay the rest, and compare the second-half accounting
+// against the uninterrupted and cold-restart runs. The warm run goes
+// through the daemon's own snapshot path — a one-shard shard.Sharded
+// captured with StreamSnapshot and reloaded with Restore — so the
+// experiment measures exactly what `watchman serve` persists. The trace
+// must hold at least two records.
 func ReplayRestart(tr *trace.Trace, cfg core.Config) (RestartResult, error) {
 	n := tr.Len()
 	if n < 2 {
 		return RestartResult{}, fmt.Errorf("sim: restart experiment needs at least 2 records, trace %q has %d", tr.Name, n)
 	}
 	split := n / 2
+	first, second := tr.Records[:split], tr.Records[split:]
 	res := RestartResult{Split: split}
 
 	// Uninterrupted run, checkpointed at the split.
@@ -87,46 +72,49 @@ func ReplayRestart(tr *trace.Trace, cfg core.Config) (RestartResult, error) {
 	if err != nil {
 		return res, err
 	}
-	replaySegment(full, tr, 0, split)
+	replay(full, first)
 	checkpoint := full.Stats()
-	replaySegment(full, tr, split, n)
+	replay(full, second)
 	res.Uninterrupted = secondHalf(full.Stats(), checkpoint)
 
-	// Warm restart: first half, snapshot round trip, second half.
-	warmSrc, err := core.New(cfg)
+	// Warm restart: first half, snapshot round trip, second half. One
+	// shard is the serial cache behind a lock; the zero clock keeps a
+	// record at time 0 at time 0 instead of stamping it with wall time.
+	scfg := shard.Config{Shards: 1, Cache: cfg, Now: func() float64 { return 0 }}
+	warmSrc, err := shard.New(scfg)
 	if err != nil {
 		return res, err
 	}
-	replaySegment(warmSrc, tr, 0, split)
+	for i := range first {
+		warmSrc.Reference(Request(&first[i]))
+	}
 	var buf bytes.Buffer
-	snap := persist.SnapshotCache(warmSrc, nil)
-	if err := persist.Write(&buf, snap); err != nil {
+	info, err := warmSrc.StreamSnapshot(&buf)
+	if err != nil {
 		return res, fmt.Errorf("sim: restart snapshot: %w", err)
 	}
 	res.SnapshotBytes = buf.Len()
-	res.SnapshotResident = snap.Resident()
-	decoded, err := persist.Read(&buf)
-	if err != nil {
-		return res, fmt.Errorf("sim: restart snapshot decode: %w", err)
-	}
-	warm, err := core.New(cfg)
+	res.SnapshotResident = info.Resident
+	warm, err := shard.New(scfg)
 	if err != nil {
 		return res, err
 	}
-	if _, err := persist.RestoreCache(warm, nil, decoded); err != nil {
+	if _, err := warm.Restore(&buf); err != nil {
 		return res, fmt.Errorf("sim: restart restore: %w", err)
 	}
 	res.RestoredResident = warm.Resident()
-	restoredAt := warm.Stats()
-	replaySegment(warm, tr, split, n)
-	res.Warm = secondHalf(warm.Stats(), restoredAt)
+	restoredAt := warm.Stats().Stats
+	for i := range second {
+		warm.Reference(Request(&second[i]))
+	}
+	res.Warm = secondHalf(warm.Stats().Stats, restoredAt)
 
 	// Cold restart: the second half against a fresh cache.
 	cold, err := core.New(cfg)
 	if err != nil {
 		return res, err
 	}
-	replaySegment(cold, tr, split, n)
+	replay(cold, second)
 	res.Cold = cold.Stats()
 
 	return res, nil

@@ -39,7 +39,9 @@ func TestReplayRestartWarmMatchesUninterrupted(t *testing.T) {
 // TestReplayRestartExactWithScanEvictor pins the stronger property the
 // codec actually delivers with the deterministic evictor: the warm run is
 // not merely close — it is bit-identical to the uninterrupted
-// continuation.
+// continuation. The warm run is a one-shard Sharded and the uninterrupted
+// one a serial core.Cache, so this also pins that one shard equals the
+// core on this trace.
 func TestReplayRestartExactWithScanEvictor(t *testing.T) {
 	_, tr, err := workload.StandardSetQuery(0, workload.Config{Queries: 3000, Seed: 7})
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -32,73 +31,49 @@ func (r Result) HR() float64 { return r.Stats.HitRatio() }
 // Fragmentation returns the average unused-space fraction of the replay.
 func (r Result) Fragmentation() float64 { return r.Stats.AvgFragmentation() }
 
+// Request converts a trace record into the cache request a replay
+// submits.
+func Request(rec *trace.Record) core.Request {
+	req := core.Request{
+		QueryID:   rec.QueryID,
+		Time:      rec.Time,
+		Class:     rec.Class,
+		Size:      rec.Size,
+		Cost:      rec.Cost,
+		Relations: rec.Relations,
+	}
+	if rec.Plan != nil {
+		// Guarded: a typed nil in the any-valued field would read as
+		// "plan present" downstream.
+		req.Plan = rec.Plan
+	}
+	return req
+}
+
+// replay feeds records through the cache in order.
+func replay(c *core.Cache, recs []trace.Record) {
+	for i := range recs {
+		c.Reference(Request(&recs[i]))
+	}
+}
+
 // Replay feeds every record of the trace through a cache built from cfg and
-// returns the result. The returned cache allows further inspection.
+// returns the result. The returned cache allows further inspection. The
+// caller attaches observers through cfg itself: a telemetry registry or
+// regret tracker as cfg.Sink (core.MultiSink composes several), semantic
+// derivation as cfg.Deriver.
 func Replay(tr *trace.Trace, cfg core.Config) (Result, *core.Cache, error) {
 	c, err := core.New(cfg)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	for i := range tr.Records {
-		rec := &tr.Records[i]
-		req := core.Request{
-			QueryID:   rec.QueryID,
-			Time:      rec.Time,
-			Class:     rec.Class,
-			Size:      rec.Size,
-			Cost:      rec.Cost,
-			Relations: rec.Relations,
-		}
-		if rec.Plan != nil {
-			// Guarded: a typed nil in the any-valued field would read as
-			// "plan present" downstream.
-			req.Plan = rec.Plan
-		}
-		c.Reference(req)
-	}
+	replay(c, tr.Records)
 	return Result{
 		Policy:     cfg.Policy.String(),
 		K:          cfg.K,
 		CacheBytes: cfg.Capacity,
 		Stats:      c.Stats(),
 	}, c, nil
-}
-
-// ReplayWithRegistry replays the trace with a telemetry registry attached
-// as the cache's event sink (composed with any sink already configured),
-// so the caller can read per-class and per-relation cost-savings
-// breakdowns off the registry afterwards. `watchman compare` uses it to
-// print per-class CSR columns for multiclass traces.
-func ReplayWithRegistry(tr *trace.Trace, cfg core.Config, reg *telemetry.Registry) (Result, *core.Cache, error) {
-	cfg.Sink = core.MultiSink(cfg.Sink, reg)
-	return Replay(tr, cfg)
-}
-
-// Setup is a shorthand for the cache configurations the experiments sweep.
-type Setup struct {
-	Policy core.PolicyKind
-	K      int
-	// DisableRetained turns retained reference information off (ablation).
-	DisableRetained bool
-	// StrictTiers enables the literal Figure-1 tier loop (ablation).
-	StrictTiers bool
-}
-
-// Label renders a display name such as "LNC-RA(K=4)".
-func (s Setup) Label() string {
-	return fmt.Sprintf("%s(K=%d)", s.Policy, s.K)
-}
-
-// ReplaySetup replays the trace with the setup at the given capacity.
-func ReplaySetup(tr *trace.Trace, s Setup, capacity int64) (Result, error) {
-	res, _, err := Replay(tr, core.Config{
-		Capacity:            capacity,
-		K:                   s.K,
-		Policy:              s.Policy,
-		DisableRetainedInfo: s.DisableRetained,
-		StrictTiers:         s.StrictTiers,
-	})
-	return res, err
 }
 
 // CacheBytesForFraction converts a cache-size percentage of the database
@@ -111,37 +86,28 @@ func CacheBytesForFraction(tr *trace.Trace, pct float64) int64 {
 	return b
 }
 
-// SweepPoint is one (cache size, setup) replay within a sweep.
+// SweepPoint is one (cache size, configuration) replay within a sweep.
 type SweepPoint struct {
-	Pct    float64
-	Setup  Setup
+	Pct float64
+	// Config is the replayed configuration, Capacity included.
+	Config core.Config
 	Result Result
 }
 
-// Sweep replays the trace for every (cache percentage × setup) pair.
-func Sweep(tr *trace.Trace, pcts []float64, setups []Setup) ([]SweepPoint, error) {
-	out := make([]SweepPoint, 0, len(pcts)*len(setups))
+// Sweep replays the trace for every (cache percentage × configuration)
+// pair; each configuration's Capacity is replaced by the percentage's.
+func Sweep(tr *trace.Trace, pcts []float64, cfgs []core.Config) ([]SweepPoint, error) {
+	out := make([]SweepPoint, 0, len(pcts)*len(cfgs))
 	for _, pct := range pcts {
 		capacity := CacheBytesForFraction(tr, pct)
-		for _, s := range setups {
-			res, err := ReplaySetup(tr, s, capacity)
+		for _, cfg := range cfgs {
+			cfg.Capacity = capacity
+			res, _, err := Replay(tr, cfg)
 			if err != nil {
-				return nil, fmt.Errorf("sim: sweep %s at %.2f%%: %w", s.Label(), pct, err)
+				return nil, fmt.Errorf("sim: sweep %s(K=%d) at %.2f%%: %w", cfg.Policy, cfg.K, pct, err)
 			}
-			out = append(out, SweepPoint{Pct: pct, Setup: s, Result: res})
+			out = append(out, SweepPoint{Pct: pct, Config: cfg, Result: res})
 		}
 	}
 	return out, nil
-}
-
-// InfiniteCache replays the trace with unlimited capacity, yielding the
-// paper's Figure 2 bounds. Any policy gives the same hits with infinite
-// space; LNC-RA is used to match the paper's setup.
-func InfiniteCache(tr *trace.Trace, k int) (Result, error) {
-	res, _, err := Replay(tr, core.Config{
-		Capacity: core.Unlimited,
-		K:        k,
-		Policy:   core.LNCRA,
-	})
-	return res, err
 }

@@ -46,7 +46,7 @@ func TestInfiniteCacheMatchesTraceBounds(t *testing.T) {
 	// check between the cache, the simulator and the trace statistics.
 	tr := testTrace(t, 2500, 2)
 	st := trace.ComputeStats(tr)
-	res, err := InfiniteCache(tr, 4)
+	res, _, err := Replay(tr, core.Config{Capacity: core.Unlimited, K: 4, Policy: core.LNCRA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,20 +61,21 @@ func TestInfiniteCacheMatchesTraceBounds(t *testing.T) {
 func TestFiniteCacheBelowBounds(t *testing.T) {
 	tr := testTrace(t, 2000, 3)
 	st := trace.ComputeStats(tr)
-	for _, s := range []Setup{
+	for _, cfg := range []core.Config{
 		{Policy: core.LRU, K: 1},
 		{Policy: core.LNCR, K: 4},
 		{Policy: core.LNCRA, K: 4},
 	} {
-		res, err := ReplaySetup(tr, s, CacheBytesForFraction(tr, 1))
+		cfg.Capacity = CacheBytesForFraction(tr, 1)
+		res, _, err := Replay(tr, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.CSR() > st.MaxCostSavings+1e-9 {
-			t.Fatalf("%s: CSR %.4f exceeds infinite-cache bound %.4f", s.Label(), res.CSR(), st.MaxCostSavings)
+			t.Fatalf("%s: CSR %.4f exceeds infinite-cache bound %.4f", res.Policy, res.CSR(), st.MaxCostSavings)
 		}
 		if res.HR() > st.MaxHitRatio+1e-9 {
-			t.Fatalf("%s: HR exceeds bound", s.Label())
+			t.Fatalf("%s: HR exceeds bound", res.Policy)
 		}
 	}
 }
@@ -84,11 +85,11 @@ func TestLNCRABeatsLRUOnDrillDown(t *testing.T) {
 	// LNC-RA must deliver a substantially higher CSR than vanilla LRU.
 	tr := testTrace(t, 4000, 4)
 	capacity := CacheBytesForFraction(tr, 1)
-	lnc, err := ReplaySetup(tr, Setup{Policy: core.LNCRA, K: 4}, capacity)
+	lnc, _, err := Replay(tr, core.Config{Capacity: capacity, K: 4, Policy: core.LNCRA})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lru, err := ReplaySetup(tr, Setup{Policy: core.LRU, K: 1}, capacity)
+	lru, _, err := Replay(tr, core.Config{Capacity: capacity, K: 1, Policy: core.LRU})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestLNCRABeatsLRUOnDrillDown(t *testing.T) {
 
 func TestSweepShape(t *testing.T) {
 	tr := testTrace(t, 1200, 5)
-	pts, err := Sweep(tr, []float64{0.5, 2}, []Setup{{Policy: core.LNCRA, K: 2}, {Policy: core.LRU, K: 1}})
+	pts, err := Sweep(tr, []float64{0.5, 2}, []core.Config{{Policy: core.LNCRA, K: 2}, {Policy: core.LRU, K: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,6 +110,9 @@ func TestSweepShape(t *testing.T) {
 	for _, p := range pts {
 		if p.Result.Stats.References != int64(tr.Len()) {
 			t.Fatal("sweep point did not replay the full trace")
+		}
+		if p.Config.Capacity != CacheBytesForFraction(tr, p.Pct) || p.Result.CacheBytes != p.Config.Capacity {
+			t.Fatalf("sweep point at %.1f%% replayed %d bytes", p.Pct, p.Result.CacheBytes)
 		}
 	}
 }
@@ -120,13 +124,6 @@ func TestCacheBytesForFraction(t *testing.T) {
 	}
 	if got := CacheBytesForFraction(tr, 0.0001); got != 4096 {
 		t.Fatalf("tiny fractions clamp to a page: %d", got)
-	}
-}
-
-func TestSetupLabel(t *testing.T) {
-	s := Setup{Policy: core.LNCRA, K: 4}
-	if s.Label() != "LNC-RA(K=4)" {
-		t.Fatalf("label = %q", s.Label())
 	}
 }
 

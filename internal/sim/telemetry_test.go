@@ -55,7 +55,7 @@ func TestReplayEquivalenceGoldenTPCD(t *testing.T) {
 	// Attaching a registry must not perturb the replay by a single bit,
 	// and the registry must agree with Stats exactly.
 	reg := telemetry.NewRegistry()
-	instrumented, _, err := ReplayWithRegistry(tr, core.Config{Capacity: capacity, K: 4, Policy: core.LNCRA}, reg)
+	instrumented, _, err := Replay(tr, core.Config{Capacity: capacity, K: 4, Policy: core.LNCRA, Sink: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestReplayMulticlassPerClassCSR(t *testing.T) {
 	const goldenCSR = 0.6275609804719918
 	capacity := CacheBytesForFraction(tr, 1)
 	reg := telemetry.NewRegistry()
-	res, _, err := ReplayWithRegistry(tr, core.Config{Capacity: capacity, K: 4, Policy: core.LNCRA}, reg)
+	res, _, err := Replay(tr, core.Config{Capacity: capacity, K: 4, Policy: core.LNCRA, Sink: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,11 +105,11 @@ func TestWhatIfSampledAccuracy(t *testing.T) {
 			full[key] = ar.CSR()
 			continue
 		}
-		p, err := whatif.ParsePolicy(c.Policy)
+		pk, err := core.ParsePolicy(c.Policy)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ccfg.Policy = p.Kind
+		ccfg.Policy = pk
 		r, _, err := Replay(tr, ccfg)
 		if err != nil {
 			t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/raceflag"
 )
 
 func hitEvent(class int, cost float64, rels []string) core.Event {
@@ -73,7 +74,7 @@ func TestRegistryEmitAllocationFree(t *testing.T) {
 	ev := hitEvent(1, 42, rels)
 	r.Emit(ev) // warm the class table and relation cells
 	allocs := testing.AllocsPerRun(1000, func() { r.Emit(ev) })
-	if allocs != 0 {
+	if allocs != 0 && !raceflag.Enabled {
 		t.Fatalf("Emit allocates %.1f objects per event on the warm path", allocs)
 	}
 }

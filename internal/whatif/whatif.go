@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -68,41 +67,6 @@ type Policy struct {
 	// configuration): the ghost's θ is tuned from the same sampled slice
 	// it replays.
 	Adaptive bool
-}
-
-// ParsePolicy resolves one policy name. Accepted names match the compare
-// subcommand's policy vocabulary.
-func ParsePolicy(name string) (Policy, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "lru":
-		return Policy{Name: "lru", Kind: core.LRU}, nil
-	case "lru-k", "lruk":
-		return Policy{Name: "lru-k", Kind: core.LRUK}, nil
-	case "lfu":
-		return Policy{Name: "lfu", Kind: core.LFU}, nil
-	case "lcs":
-		return Policy{Name: "lcs", Kind: core.LCS}, nil
-	case "lnc-r", "lncr":
-		return Policy{Name: "lnc-r", Kind: core.LNCR}, nil
-	case "lnc-ra", "lncra":
-		return Policy{Name: "lnc-ra", Kind: core.LNCRA}, nil
-	case "lnc-ra-adaptive", "lncra-adaptive", "adaptive":
-		return Policy{Name: "lnc-ra-adaptive", Kind: core.LNCRA, Adaptive: true}, nil
-	}
-	return Policy{}, fmt.Errorf("whatif: unknown policy %q", name)
-}
-
-// ParsePolicies resolves a comma-separated policy list.
-func ParsePolicies(csv string) ([]Policy, error) {
-	var out []Policy
-	for _, name := range strings.Split(csv, ",") {
-		p, err := ParsePolicy(name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
 }
 
 // DefaultPolicies is the paper's comparative line-up: both WATCHMAN

@@ -12,32 +12,6 @@ func baseConfig() core.Config {
 	return core.Config{Capacity: 4096, K: 2, Policy: core.LNCRA}
 }
 
-func TestParsePolicy(t *testing.T) {
-	cases := map[string]Policy{
-		"lru":             {Name: "lru", Kind: core.LRU},
-		"LRU-K":           {Name: "lru-k", Kind: core.LRUK},
-		"lnc-ra":          {Name: "lnc-ra", Kind: core.LNCRA},
-		"adaptive":        {Name: "lnc-ra-adaptive", Kind: core.LNCRA, Adaptive: true},
-		"lnc-ra-adaptive": {Name: "lnc-ra-adaptive", Kind: core.LNCRA, Adaptive: true},
-	}
-	for in, want := range cases {
-		got, err := ParsePolicy(in)
-		if err != nil {
-			t.Fatalf("ParsePolicy(%q): %v", in, err)
-		}
-		if got != want {
-			t.Errorf("ParsePolicy(%q) = %+v, want %+v", in, got, want)
-		}
-	}
-	if _, err := ParsePolicy("clock"); err == nil {
-		t.Error("unknown policy must error")
-	}
-	ps, err := ParsePolicies("lru, lnc-ra")
-	if err != nil || len(ps) != 2 || ps[0].Name != "lru" || ps[1].Name != "lnc-ra" {
-		t.Errorf("ParsePolicies = %v, %v", ps, err)
-	}
-}
-
 func TestNewValidation(t *testing.T) {
 	bad := []Config{
 		{Base: baseConfig(), SampleRate: -1},

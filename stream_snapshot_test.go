@@ -8,10 +8,11 @@ import (
 )
 
 // TestGoldenTPCDStreamedSnapshot is the facade-level acceptance check for
-// the streaming snapshot path: over a golden TPC-D-driven cache (adaptive
-// admission included), the chunked streaming capture must emit exactly
-// the bytes of the materialize-then-encode path, restore to the same
-// report, and re-snapshot from the restored cache to the same bytes.
+// the snapshot path: over a golden TPC-D-driven cache (adaptive admission
+// included), the chunked streaming capture must restore every resident
+// set and the θ into a fresh cache, and the restored cache must
+// re-snapshot to the same bytes. Byte equality with the materialized
+// per-shard export is pinned in package shard.
 func TestGoldenTPCDStreamedSnapshot(t *testing.T) {
 	tr, err := watchman.TPCDTrace(0.005, watchman.WorkloadConfig{Queries: 2000, Seed: 9})
 	if err != nil {
@@ -60,54 +61,34 @@ func TestGoldenTPCDStreamedSnapshot(t *testing.T) {
 		t.Fatal("tuning round did not score")
 	}
 
-	// The two capture paths must agree byte for byte on a quiesced cache.
-	var old bytes.Buffer
-	if err := watchman.WriteSnapshot(&old, sc.ExportState()); err != nil {
-		t.Fatal(err)
-	}
 	var streamed bytes.Buffer
 	info, err := sc.StreamSnapshot(&streamed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(old.Bytes(), streamed.Bytes()) {
-		t.Fatalf("streamed TPC-D snapshot differs from ExportState+WriteSnapshot: %d vs %d bytes",
-			streamed.Len(), old.Len())
-	}
 	if info.Resident != sc.Resident() || info.Bytes != int64(streamed.Len()) {
 		t.Fatalf("SnapshotInfo %+v (cache resident %d, %d bytes)", info, sc.Resident(), streamed.Len())
 	}
 
-	// Both captures restore to the same report...
-	restore := func(raw []byte) (*watchman.Sharded, watchman.RestoreReport) {
-		dst, _ := newCache()
-		rep, err := dst.Restore(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dst, rep
+	// The capture restores into a fresh cache...
+	dst, _ := newCache()
+	rep, err := dst.Restore(bytes.NewReader(streamed.Bytes()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	dstOld, repOld := restore(old.Bytes())
-	dstNew, repNew := restore(streamed.Bytes())
-	if repOld != repNew {
-		t.Fatalf("restore reports differ:\n  old path %+v\n  streamed %+v", repOld, repNew)
+	if rep.Resident != sc.Resident() || !rep.ThetaRestored {
+		t.Fatalf("restore report %+v (source resident %d)", rep, sc.Resident())
 	}
-	if err := dstNew.CheckInvariants(); err != nil {
+	if err := dst.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 
-	// ...and the restored caches re-snapshot to the same bytes.
-	var reOld, reNew bytes.Buffer
-	if err := dstOld.Snapshot(&reOld); err != nil {
+	// ...which re-snapshots to the same bytes.
+	var again bytes.Buffer
+	if _, err := dst.StreamSnapshot(&again); err != nil {
 		t.Fatal(err)
 	}
-	if err := dstNew.Snapshot(&reNew); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(reOld.Bytes(), reNew.Bytes()) {
-		t.Fatal("re-snapshots of the two restored caches differ")
-	}
-	if !bytes.Equal(reNew.Bytes(), streamed.Bytes()) {
+	if !bytes.Equal(again.Bytes(), streamed.Bytes()) {
 		t.Fatal("re-snapshot of the restored cache differs from the original capture")
 	}
 }

@@ -81,7 +81,7 @@
 // a fresh cache before it starts serving, so a restart resumes warm:
 //
 //	var buf bytes.Buffer
-//	err := cache.Snapshot(&buf)                       // Sharded: all shards
+//	info, err := cache.StreamSnapshot(&buf)           // Sharded: all shards
 //	...
 //	fresh, _ := watchman.NewSharded(sameConfig)
 //	report, err := fresh.Restore(bytes.NewReader(buf.Bytes()))
@@ -472,9 +472,9 @@ type Regret = flight.Regret
 func NewRegretTracker(maxEntries int) *RegretTracker { return flight.NewRegretTracker(maxEntries) }
 
 // Snapshot is the in-memory form of one persisted cache image: one
-// CacheState per shard plus the optional adaptive admission state. Build
-// one with Sharded.ExportState (or core-level export) and serialize it
-// with WriteSnapshot.
+// CacheState per shard plus the optional adaptive admission state.
+// ReadSnapshot decodes one from a Sharded.StreamSnapshot image; one built
+// from Cache.ExportState serializes with WriteSnapshot.
 type Snapshot = persist.Snapshot
 
 // CacheState is the exportable learned state of one cache: entries,
