@@ -204,7 +204,7 @@ type Request struct {
 // Cache is the WATCHMAN cache manager.
 type Cache struct {
 	cfg      Config
-	index    map[uint64][]*Entry
+	index    map[uint64]*Entry // signature → head of its Entry.sigNext chain
 	ev       evictor
 	admitter Admitter // nil = no admission control (admit always)
 	deriver  Deriver  // nil = exact-match lookups only
@@ -273,7 +273,7 @@ func New(cfg Config) (*Cache, error) {
 	rc := &rateContext{}
 	return &Cache{
 		cfg:      cfg,
-		index:    make(map[uint64][]*Entry),
+		index:    make(map[uint64]*Entry),
 		ev:       newEvictor(ranker{policy: cfg.Policy, strictTiers: cfg.StrictTiers, rc: rc}),
 		admitter: admitter,
 		deriver:  cfg.Deriver,
@@ -324,7 +324,7 @@ func (c *Cache) lookup(id string, sig uint64) *Entry { return probe(c, id, sig) 
 //
 //watchman:hotpath
 func probe[ID string | []byte](c *Cache, id ID, sig uint64) *Entry {
-	for _, e := range c.index[sig] {
+	for e := c.index[sig]; e != nil; e = e.sigNext {
 		if e.ID == string(id) {
 			return e
 		}
@@ -332,24 +332,28 @@ func probe[ID string | []byte](c *Cache, id ID, sig uint64) *Entry {
 	return nil
 }
 
+// indexInsert pushes e onto the head of its signature's chain.
 func (c *Cache) indexInsert(e *Entry) {
-	c.index[e.Sig] = append(c.index[e.Sig], e)
+	e.sigNext = c.index[e.Sig]
+	c.index[e.Sig] = e
 }
 
+// indexRemove unlinks e from its signature's chain.
 func (c *Cache) indexRemove(e *Entry) {
-	bucket := c.index[e.Sig]
-	for i, x := range bucket {
-		if x == e {
-			bucket[i] = bucket[len(bucket)-1]
-			bucket = bucket[:len(bucket)-1]
-			break
+	switch head := c.index[e.Sig]; {
+	case head == e && e.sigNext == nil:
+		delete(c.index, e.Sig)
+	case head == e:
+		c.index[e.Sig] = e.sigNext
+	default:
+		for p := head; p != nil; p = p.sigNext {
+			if p.sigNext == e {
+				p.sigNext = e.sigNext
+				break
+			}
 		}
 	}
-	if len(bucket) == 0 {
-		delete(c.index, e.Sig)
-	} else {
-		c.index[e.Sig] = bucket
-	}
+	e.sigNext = nil
 }
 
 // Peek reports whether the query's retrieved set is resident, without
@@ -884,8 +888,8 @@ func (c *Cache) Invalidate(relations ...string) int {
 		rels[r] = true
 	}
 	var victims []*Entry
-	for _, bucket := range c.index {
-		for _, e := range bucket {
+	for _, head := range c.index {
+		for e := head; e != nil; e = e.sigNext {
 			if e.touchesAny(rels) {
 				victims = append(victims, e)
 			}
@@ -941,8 +945,8 @@ func (c *Cache) CheckInvariants() error {
 	var payload int64
 	resident := 0
 	total := 0
-	for sig, bucket := range c.index {
-		for _, e := range bucket {
+	for sig, head := range c.index {
+		for e := head; e != nil; e = e.sigNext {
 			total++
 			if e.Sig != sig {
 				return fmt.Errorf("entry %q indexed under wrong signature", e.ID)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 )
 
 // req is a test shorthand for building requests.
@@ -442,19 +443,84 @@ func TestClockMonotonic(t *testing.T) {
 }
 
 func TestSignatureCollisionHandling(t *testing.T) {
-	// Force two entries into the same bucket by direct index manipulation:
-	// the exact-match loop must distinguish them.
+	// Force two entries onto one signature chain: the exact-match loop must
+	// distinguish them.
 	c := newCache(t, Config{Capacity: 1000, Policy: LRU})
 	a := &Entry{ID: "ida", Sig: 42, Size: 10, resident: true, rc: c.rc}
 	a.window = newRefWindow(1)
 	b := &Entry{ID: "idb", Sig: 42, Size: 10, resident: true, rc: c.rc}
 	b.window = newRefWindow(1)
-	c.index[42] = []*Entry{a, b}
+	c.indexInsert(a)
+	c.indexInsert(b)
+	if c.index[42] != b || b.sigNext != a || a.sigNext != nil {
+		t.Fatal("indexInsert did not chain the colliding entries")
+	}
+	if got := c.lookup("ida", 42); got != a {
+		t.Fatal("collision chain lookup failed past the head")
+	}
 	if got := c.lookup("idb", 42); got != b {
 		t.Fatal("collision bucket lookup failed")
 	}
 	if got := c.lookup("idc", 42); got != nil {
 		t.Fatal("lookup invented an entry")
+	}
+}
+
+// TestEntrySize pins the Entry at 176 bytes on 64-bit platforms: the
+// index chain pointer fits only because evIdx is an int32 packed beside
+// resident, and one more word would move every entry into the 192-byte
+// size class.
+func TestEntrySize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if n := unsafe.Sizeof(Entry{}); n != 176 {
+		t.Fatalf("Entry is %d bytes, want 176", n)
+	}
+}
+
+// TestSignatureChainRemoval unlinks the head, the middle and the tail of a
+// three-entry signature chain, checking invariants after each removal.
+// The IDs are a two-block FNV-1a multicollision: each pair of 13-byte
+// blocks below leaves the hash in the same state, so any choice of one
+// block from each pair gives the same Signature.
+func TestSignatureChainRemoval(t *testing.T) {
+	const a1, b1 = "ay1xpg4wc1tig", "wg0ikmzrgv44k"
+	const a2, b2 = "umd5fbza221ih", "v053nxpxkgrbp"
+	ids := [3]string{a1 + a2, a1 + b2, b1 + a2}
+	sig := Signature(ids[0])
+	for _, id := range ids[1:] {
+		if Signature(id) != sig {
+			t.Fatalf("%q does not collide with %q", id, ids[0])
+		}
+	}
+	// Inserts push onto the chain's head, so ids[2] is the head, ids[1]
+	// the middle and ids[0] the tail.
+	for _, victim := range []int{2, 1, 0} {
+		c := newCache(t, Config{Capacity: Unlimited, Policy: LRU})
+		for i, id := range ids {
+			r := req(id, float64(i+1), 10, 1)
+			r.Relations = []string{fmt.Sprint("rel", i)}
+			c.Reference(r)
+		}
+		var chain []string
+		for e := c.index[sig]; e != nil; e = e.sigNext {
+			chain = append(chain, e.ID)
+		}
+		if want := []string{ids[2], ids[1], ids[0]}; fmt.Sprint(chain) != fmt.Sprint(want) {
+			t.Fatalf("chain = %q, want %q", chain, want)
+		}
+		if n := c.Invalidate(fmt.Sprint("rel", victim)); n != 1 {
+			t.Fatalf("invalidating entry %d dropped %d sets", victim, n)
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatalf("after removing entry %d: %v", victim, err)
+		}
+		for i, id := range ids {
+			if _, ok := c.Peek(id); ok != (i != victim) {
+				t.Fatalf("after removing entry %d: entry %d resident = %v", victim, i, ok)
+			}
+		}
 	}
 }
 

@@ -34,8 +34,13 @@ type Entry struct {
 	window   refWindow
 	resident bool
 	// evIdx is the entry's position in its evictor's resident list; it is
-	// meaningful only while the entry is resident.
-	evIdx int
+	// meaningful only while the entry is resident. It is an int32 beside
+	// resident so the entry keeps its 176-byte size class (the log of
+	// touched positions is int32 too).
+	evIdx int32
+	// sigNext chains entries whose signatures collide in the cache's
+	// index; nil at the chain's end and outside the index.
+	sigNext *Entry
 	// rc is the rate context shared with the owning cache; it supplies
 	// the smoothing floor for λ denominators. It is nil for entries
 	// created outside a cache, which then use the raw formula. A resident's

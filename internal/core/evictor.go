@@ -111,7 +111,7 @@ type scanEvictor struct {
 }
 
 func (s *scanEvictor) add(e *Entry, _ float64) {
-	e.evIdx = len(s.list)
+	e.evIdx = int32(len(s.list))
 	s.list = append(s.list, e)
 	s.cols = append(s.cols, s.r.column(e))
 	if cap(s.log) < len(s.list) {
@@ -122,13 +122,13 @@ func (s *scanEvictor) add(e *Entry, _ float64) {
 // remove swaps the last resident into e's position and refreshes its
 // column there: a position the log holds for it now lies past the end.
 func (s *scanEvictor) remove(e *Entry) {
-	i, last := e.evIdx, len(s.list)-1
+	i, last := int(e.evIdx), len(s.list)-1
 	if i > last || s.list[i] != e {
 		return
 	}
 	moved := s.list[last]
 	s.list[i] = moved
-	moved.evIdx = i
+	moved.evIdx = int32(i)
 	s.cols[i] = s.r.column(moved)
 	s.list[last] = nil
 	s.list = s.list[:last]
@@ -149,7 +149,7 @@ func (s *scanEvictor) touch(e *Entry, _ float64) {
 		return
 	}
 	s.log = s.log[:n+1]
-	s.log[n] = int32(e.evIdx)
+	s.log[n] = e.evIdx
 }
 
 func (s *scanEvictor) count() int          { return len(s.list) }
@@ -262,7 +262,7 @@ func (s *scanEvictor) check() error {
 		}
 	}
 	for i, e := range s.list {
-		if e.evIdx != i {
+		if int(e.evIdx) != i {
 			return fmt.Errorf("resident %q at evictor position %d records position %d", e.ID, i, e.evIdx)
 		}
 		if want := s.r.column(e); !s.all && !pending[i] && s.cols[i] != want {

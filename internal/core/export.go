@@ -54,8 +54,8 @@ func (c *Cache) ExportBegin() *ExportCursor {
 		},
 		ids: make([]string, 0, c.resident+len(c.retained)),
 	}
-	for _, bucket := range c.index {
-		for _, e := range bucket {
+	for _, head := range c.index {
+		for e := head; e != nil; e = e.sigNext {
 			cur.ids = append(cur.ids, e.ID)
 		}
 	}

@@ -82,8 +82,8 @@ func CompressID(query string) string {
 }
 
 // Signature returns the 64-bit FNV-1a hash of a query ID. The cache's
-// lookup structure buckets entries by signature and compares IDs exactly
-// only within a bucket, as described in §3 of the paper.
+// lookup structure chains entries by signature and compares IDs exactly
+// only within a chain, as described in §3 of the paper.
 func Signature(id string) uint64 {
 	h := uint64(fnvOffset64)
 	for i := 0; i < len(id); i++ {

@@ -22,11 +22,11 @@ func sqlID(k int) string {
 // TestFrontAllocations pins what the one-pass front is for. A hit on a raw,
 // delimiter-bearing query string — through Reference or through Load, with
 // the telemetry registry attached — canonicalizes, hashes, probes and
-// charges without touching the heap. A first-sight miss allocates exactly
-// what it did behind the two-pass front: the canonical ID (CompressID's
-// copy then, the materialized string now), the Entry, its reference window
-// and the index bucket; a query that is already canonical is used as the
-// ID as it stands, so it allocates one less.
+// charges without touching the heap. A first-sight miss allocates the
+// canonical ID, the Entry and its reference window; the index links the
+// entry into its signature chain without a bucket of its own, and a query
+// that is already canonical is used as the ID as it stands, so it
+// allocates one less.
 func TestFrontAllocations(t *testing.T) {
 	newCache := func() *Sharded {
 		return newSharded(t, Config{
@@ -70,8 +70,8 @@ func TestFrontAllocations(t *testing.T) {
 		canonical bool
 		want      float64
 	}{
-		{"delimiter-bearing", false, 4},
-		{"already canonical", true, 3},
+		{"delimiter-bearing", false, 3},
+		{"already canonical", true, 2},
 	} {
 		s := newCache()
 		ids := make([]string, misses+1) // AllocsPerRun warms up with one extra call

@@ -1,17 +1,18 @@
 // Package telemetry is the aggregation half of the telemetry spine: a
-// lock-cheap Registry consumes the typed lifecycle events every cache
-// shard emits (see core.EventSink) and maintains per-class and
-// per-relation cost-savings accounting, per-shard reference counts and a
-// load-latency histogram. Aggregate counters are derived at snapshot
-// time, so the hot path touches only one class cell per event.
+// Registry consumes the typed lifecycle events every cache shard emits
+// (see core.EventSink) and maintains per-class and per-relation
+// cost-savings accounting, per-shard reference counts and a load-latency
+// histogram. Aggregate counters are derived at snapshot time, so the hot
+// path touches only the event's own class and relation cells.
 //
-// The hot path is allocation-free and contention-free by construction:
-// every shard sink owns a private contention domain of atomic cells
-// (events within a shard are already serialized by the shard mutex, so
-// its cache lines never bounce), float accumulation uses CAS on bit
-// patterns, the per-class table is an atomically published slice that
-// grows off the hot path, and per-relation cells live in a sync.Map
-// keyed by relation name. Snapshot merges the domains.
+// The hot path is allocation-free and keeps to lines its shard alone
+// writes: every shard sink owns a private contention domain, one
+// cache-line-sized block holding a mutex and dense tables of plain
+// counters. Events within a shard are already serialized by the shard
+// mutex, so the domain's lock is uncontended except while a scrape folds
+// that one domain; an event costs one lock, one unlock and plain adds.
+// First sightings of a class or relation grow the tables under the same
+// lock. Snapshot locks one domain at a time and merges them.
 //
 // A Registry serves two consumers: Snapshot returns a plain value for
 // JSON reporting and tests, and WritePrometheus renders the Prometheus
@@ -29,7 +30,7 @@ import (
 )
 
 // atomicFloat accumulates a float64 with compare-and-swap on its bit
-// pattern, so concurrent sinks can add without a mutex.
+// pattern, so concurrent observers can add without a mutex.
 type atomicFloat struct{ bits atomic.Uint64 }
 
 // Add adds v to the accumulator.
@@ -52,18 +53,21 @@ func (f *atomicFloat) Store(v float64) { f.bits.Store(math.Float64bits(v)) }
 
 // refCell is one accumulation cell of the breakdown tables: the outcome
 // counts and the two sides of the paper's CSR fraction, scoped to one
-// class or one relation within one contention domain. Admitted misses are
-// derived (refs − hits − rejected − external), keeping the hot path to
-// the minimum number of atomic touches.
+// class or one relation within one contention domain. Its domain's mutex
+// guards it. Admitted misses are derived (refs − hits − rejected −
+// external), keeping the hot path to the minimum number of adds. A hit
+// writes only the first cache line; the padding makes the cell two whole
+// lines, so a table's edges never share a line with another domain's.
 type refCell struct {
-	refs, hits             atomic.Int64
-	derivedHits            atomic.Int64
-	missRejected           atomic.Int64
-	extMisses              atomic.Int64
-	evictions, invalidated atomic.Int64
-	bytes                  atomic.Int64
-	costTotal, costSaved   atomicFloat
-	deriveCost             atomicFloat
+	refs, hits             int64
+	bytes                  int64
+	costTotal, costSaved   float64
+	derivedHits            int64
+	deriveCost             float64
+	missRejected           int64
+	extMisses              int64
+	evictions, invalidated int64
+	_                      [5]int64
 }
 
 // charge accrues one event into the cell. deriveCost is meaningful only
@@ -74,33 +78,33 @@ type refCell struct {
 func (c *refCell) charge(kind core.EventKind, size int64, cost, deriveCost float64) {
 	switch kind {
 	case core.EventHit:
-		c.refs.Add(1)
-		c.hits.Add(1)
-		c.bytes.Add(size)
-		c.costTotal.Add(cost)
-		c.costSaved.Add(cost)
+		c.refs++
+		c.hits++
+		c.bytes += size
+		c.costTotal += cost
+		c.costSaved += cost
 	case core.EventHitDerived:
-		c.refs.Add(1)
-		c.derivedHits.Add(1)
-		c.bytes.Add(size)
-		c.costTotal.Add(cost)
-		c.costSaved.Add(cost - deriveCost)
-		c.deriveCost.Add(deriveCost)
+		c.refs++
+		c.derivedHits++
+		c.bytes += size
+		c.costTotal += cost
+		c.costSaved += cost - deriveCost
+		c.deriveCost += deriveCost
 	case core.EventMissAdmitted:
-		c.refs.Add(1)
-		c.costTotal.Add(cost)
+		c.refs++
+		c.costTotal += cost
 	case core.EventMissRejected:
-		c.refs.Add(1)
-		c.missRejected.Add(1)
-		c.costTotal.Add(cost)
+		c.refs++
+		c.missRejected++
+		c.costTotal += cost
 	case core.EventExternalMiss:
-		c.refs.Add(1)
-		c.extMisses.Add(1)
-		c.costTotal.Add(cost)
+		c.refs++
+		c.extMisses++
+		c.costTotal += cost
 	case core.EventEvict:
-		c.evictions.Add(1)
+		c.evictions++
 	case core.EventInvalidate:
-		c.invalidated.Add(1)
+		c.invalidated++
 	case core.EventRestore:
 		// Snapshot restores re-announce residency, not a reference
 		// outcome; restored Stats already carry the pre-crash history.
@@ -125,102 +129,114 @@ const MaxTrackedRelations = 1024
 // beyond MaxTrackedRelations.
 const OverflowRelation = "_other"
 
-// domain is one contention domain of counters. Every shard sink owns one,
-// so counters written under different shard mutexes live on different
-// cache lines; the registry's root domain serves direct Emit callers
-// (single-threaded replays).
+// domain is one contention domain of counters. Every shard sink owns one;
+// the registry's root domain serves direct Emit callers (single-threaded
+// replays). mu guards every field and is a leaf lock: nothing outside
+// this package runs while it is held. On 64-bit platforms the fields fill
+// exactly one cache line, so the block needs no padding and a shard's
+// lock word shares its line with no other heap object; TestDomainLayout
+// pins the size.
 type domain struct {
-	// classes is the atomically published per-class table; growth happens
-	// under classMu and republishes a longer slice, so readers never lock.
-	classes atomic.Pointer[[]*refCell]
-	classMu sync.Mutex
-	// relations maps relation name → *refCell; hot-path lookups hit the
-	// sync.Map read path (no lock, no allocation once the cell exists).
-	// relCount tracks its size for the cardinality cap (sync.Map has no
-	// cheap length); concurrent first sightings may overshoot the cap by
-	// at most the caller count, which keeps the bound intact in spirit.
-	relations sync.Map
-	relCount  atomic.Int64
+	mu      sync.Mutex
+	classes []refCell        // by class index, grown on first sighting
+	rels    []refCell        // by relIdx
+	relIdx  map[string]int32 // relation name → its cell in rels
 }
 
-// class returns the cell for a class index, growing the table off the hot
-// path on first sight of a new class. Indices clamp into
-// [0, MaxTrackedClasses).
-func (d *domain) class(i int) *refCell {
-	if i < 0 {
-		i = 0
-	} else if i >= MaxTrackedClasses {
-		i = MaxTrackedClasses - 1
-	}
-	if t := d.classes.Load(); t != nil && i < len(*t) {
-		return (*t)[i]
-	}
-	d.classMu.Lock()
-	defer d.classMu.Unlock()
-	var cur []*refCell
-	if t := d.classes.Load(); t != nil {
-		cur = *t
-		if i < len(cur) {
-			return cur[i]
-		}
-	}
-	grown := make([]*refCell, i+1)
-	copy(grown, cur)
-	for j := len(cur); j <= i; j++ {
-		grown[j] = &refCell{}
-	}
-	d.classes.Store(&grown)
-	return grown[i]
-}
-
-// relation returns the cell for a relation name, creating it on first use.
-// Past MaxTrackedRelations distinct names, the overflow cell is returned
-// instead.
-func (d *domain) relation(name string) *refCell {
-	if cell, ok := d.relations.Load(name); ok {
-		return cell.(*refCell)
-	}
-	if d.relCount.Load() >= MaxTrackedRelations && name != OverflowRelation {
-		return d.relation(OverflowRelation)
-	}
-	cell, loaded := d.relations.LoadOrStore(name, &refCell{})
-	if !loaded {
-		d.relCount.Add(1)
-	}
-	return cell.(*refCell)
-}
-
-// emit consumes one lifecycle event into the domain's cells.
-func (d *domain) emit(ev core.Event) {
+// emit consumes one lifecycle event into the domain's cells under one
+// lock.
+//
+//watchman:hotpath
+func (d *domain) emit(ev *core.Event) {
 	if ev.Derived && (ev.Kind == core.EventMissAdmitted || ev.Kind == core.EventMissRejected) {
 		// The admission decision for a derived set is bookkeeping, not a
 		// reference outcome: the reference was already counted by its
 		// HitDerived event. Counting both would double the denominator.
 		return
 	}
-	d.class(ev.Class).charge(ev.Kind, ev.Size, ev.Cost, ev.DeriveCost)
+	c := min(max(ev.Class, 0), MaxTrackedClasses-1)
+	d.mu.Lock()
+	if c >= len(d.classes) {
+		d.growClasses(c)
+	}
+	d.classes[c].charge(ev.Kind, ev.Size, ev.Cost, ev.DeriveCost)
 	// Only references and coherence drops carry per-relation meaning;
 	// evictions are a space decision, not a relation one.
 	if ev.Kind != core.EventEvict {
 		for _, rel := range ev.Relations {
-			d.relation(rel).charge(ev.Kind, ev.Size, ev.Cost, ev.DeriveCost)
+			i, ok := d.relIdx[rel]
+			if !ok {
+				i = d.addRelation(rel)
+			}
+			d.rels[i].charge(ev.Kind, ev.Size, ev.Cost, ev.DeriveCost)
 		}
 	}
+	d.mu.Unlock()
+}
+
+// growClasses extends the class table to hold index c. The caller holds
+// mu.
+func (d *domain) growClasses(c int) {
+	d.classes = append(d.classes, make([]refCell, c+1-len(d.classes))...)
+}
+
+// addRelation returns the index of the cell for a relation name not yet
+// tracked, adding the cell. Past MaxTrackedRelations distinct names, the
+// overflow cell is returned instead. The caller holds mu, so the cap is
+// exact.
+func (d *domain) addRelation(name string) int32 {
+	if len(d.relIdx) >= MaxTrackedRelations && name != OverflowRelation {
+		if i, ok := d.relIdx[OverflowRelation]; ok {
+			return i
+		}
+		name = OverflowRelation
+	}
+	if d.relIdx == nil {
+		d.relIdx = make(map[string]int32)
+	}
+	i := int32(len(d.rels))
+	d.rels = append(d.rels, refCell{})
+	d.relIdx[name] = i
+	return i
+}
+
+// fold adds the domain's cells into a snapshot's class table and
+// relation map and returns the domain's references. It reads the domain
+// under its lock, so one domain's counters form one consistent set.
+func (d *domain) fold(s *Snapshot, rels map[string]*RelationSnapshot) (refs int64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for len(s.Classes) < len(d.classes) {
+		s.Classes = append(s.Classes, ClassSnapshot{Class: len(s.Classes)})
+	}
+	for i := range d.classes {
+		s.Classes[i].add(&d.classes[i])
+		refs += d.classes[i].refs
+	}
+	for name, i := range d.relIdx {
+		rs := rels[name]
+		if rs == nil {
+			rs = &RelationSnapshot{Relation: name}
+			rels[name] = rs
+		}
+		rs.add(&d.rels[i])
+	}
+	return refs
 }
 
 // Registry aggregates lifecycle events from every shard of a cache. All
 // methods are safe for concurrent use; Emit is cheap enough for the hit
-// path (a handful of atomic adds on shard-local cache lines, no
-// allocation).
+// path (one uncontended lock and plain adds on shard-local cache lines,
+// no allocation).
 type Registry struct {
 	// root consumes events emitted directly on the registry (replays and
 	// single-threaded caches use the registry itself as their sink).
 	root domain
 
-	// shards holds the per-shard domains, atomically published and grown
-	// under shardMu by ShardSink.
-	shards  atomic.Pointer[[]*domain]
+	// shards holds the per-shard domains, grown by ShardSink. Elements
+	// are never replaced, so a prefix read under shardMu stays valid.
 	shardMu sync.Mutex
+	shards  []*domain
 
 	loadLatency  Histogram
 	loaderErrors atomic.Int64
@@ -245,14 +261,15 @@ func NewRegistry() *Registry {
 
 // Emit consumes one lifecycle event into the registry's root domain. It
 // implements core.EventSink; concurrent caches should prefer per-shard
-// sinks from ShardSink, which keep counter cache lines shard-local.
-func (r *Registry) Emit(ev core.Event) { r.root.emit(ev) }
+// sinks from ShardSink, which keep counter cache lines and the domain
+// lock shard-local.
+func (r *Registry) Emit(ev core.Event) { r.root.emit(&ev) }
 
 // shardSink forwards one shard's events into its private domain.
 type shardSink struct{ d *domain }
 
 // Emit consumes the event into the shard's domain.
-func (s shardSink) Emit(ev core.Event) { s.d.emit(ev) }
+func (s shardSink) Emit(ev core.Event) { s.d.emit(&ev) }
 
 // ShardSink returns a sink for one shard that fans its events into the
 // registry through a private contention domain, so per-shard balance
@@ -265,20 +282,10 @@ func (r *Registry) ShardSink(shard int) core.EventSink {
 	}
 	r.shardMu.Lock()
 	defer r.shardMu.Unlock()
-	var cur []*domain
-	if t := r.shards.Load(); t != nil {
-		cur = *t
+	for len(r.shards) <= shard {
+		r.shards = append(r.shards, &domain{})
 	}
-	if shard >= len(cur) {
-		grown := make([]*domain, shard+1)
-		copy(grown, cur)
-		for j := len(cur); j <= shard; j++ {
-			grown[j] = &domain{}
-		}
-		r.shards.Store(&grown)
-		cur = grown
-	}
-	return shardSink{d: cur[shard]}
+	return shardSink{d: r.shards[shard]}
 }
 
 // ObserveLoad records one loader execution: its wall-clock latency in
@@ -336,19 +343,20 @@ type RefStats struct {
 	CostSaved float64 `json:"cost_saved"`
 }
 
-// add accumulates one cell of one domain into the stats.
+// add accumulates one cell of one domain into the stats. The caller
+// holds the domain's lock.
 func (s *RefStats) add(c *refCell) {
-	s.References += c.refs.Load()
-	s.Hits += c.hits.Load()
-	s.DerivedHits += c.derivedHits.Load()
-	s.DeriveCost += c.deriveCost.Load()
-	s.MissesRejected += c.missRejected.Load()
-	s.ExternalMisses += c.extMisses.Load()
-	s.Evictions += c.evictions.Load()
-	s.Invalidations += c.invalidated.Load()
-	s.BytesServed += c.bytes.Load()
-	s.CostTotal += c.costTotal.Load()
-	s.CostSaved += c.costSaved.Load()
+	s.References += c.refs
+	s.Hits += c.hits
+	s.DerivedHits += c.derivedHits
+	s.DeriveCost += c.deriveCost
+	s.MissesRejected += c.missRejected
+	s.ExternalMisses += c.extMisses
+	s.Evictions += c.evictions
+	s.Invalidations += c.invalidated
+	s.BytesServed += c.bytes
+	s.CostTotal += c.costTotal
+	s.CostSaved += c.costSaved
 }
 
 // MissesAdmitted returns the number of misses whose set was cached: every
@@ -399,9 +407,10 @@ type RelationSnapshot struct {
 	RefStats
 }
 
-// Snapshot is a point-in-time copy of every registry counter. Counters
-// are read individually (not under one lock), so a snapshot taken under
-// write load is internally consistent only up to in-flight events.
+// Snapshot is a copy of every registry counter. Each contention domain
+// is read under its lock as one consistent set, and domains are read one
+// after another, so under write load every counter is monotone across
+// snapshots and every derived count (MissesAdmitted) is non-negative.
 type Snapshot struct {
 	// Hits, DerivedHits, MissesAdmitted, MissesRejected and ExternalMisses
 	// partition References by lifecycle outcome.
@@ -467,7 +476,8 @@ func (s Snapshot) HitRatio() float64 {
 	return 0
 }
 
-// Snapshot merges every contention domain into a point-in-time copy.
+// Snapshot merges every contention domain into one copy, locking one
+// domain at a time.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		LoaderErrors: r.loaderErrors.Load(),
@@ -495,50 +505,15 @@ func (r *Registry) Snapshot() Snapshot {
 		s.SnapshotMaxLockPauseSeconds = r.snapMaxPause.Load()
 	}
 
-	domains := []*domain{&r.root}
-	if t := r.shards.Load(); t != nil {
-		for _, d := range *t {
-			domains = append(domains, d)
-			var refs int64
-			if ct := d.classes.Load(); ct != nil {
-				for _, cell := range *ct {
-					refs += cell.refs.Load()
-				}
-			}
-			s.ShardReferences = append(s.ShardReferences, refs)
-		}
-	}
-
-	// Merge the per-class tables into a dense ascending slice.
-	maxClass := -1
-	for _, d := range domains {
-		if ct := d.classes.Load(); ct != nil && len(*ct)-1 > maxClass {
-			maxClass = len(*ct) - 1
-		}
-	}
-	for c := 0; c <= maxClass; c++ {
-		cs := ClassSnapshot{Class: c}
-		for _, d := range domains {
-			if ct := d.classes.Load(); ct != nil && c < len(*ct) {
-				cs.add((*ct)[c])
-			}
-		}
-		s.Classes = append(s.Classes, cs)
-	}
-
-	// Merge the per-relation maps.
+	// Fold the root, then the shards ascending: each class sums its cells
+	// in that order, one domain lock at a time.
 	rels := map[string]*RelationSnapshot{}
-	for _, d := range domains {
-		d.relations.Range(func(k, v any) bool {
-			name := k.(string)
-			rs := rels[name]
-			if rs == nil {
-				rs = &RelationSnapshot{Relation: name}
-				rels[name] = rs
-			}
-			rs.add(v.(*refCell))
-			return true
-		})
+	r.root.fold(&s, rels)
+	r.shardMu.Lock()
+	shards := r.shards
+	r.shardMu.Unlock()
+	for _, d := range shards {
+		s.ShardReferences = append(s.ShardReferences, d.fold(&s, rels))
 	}
 	for _, rs := range rels {
 		s.Relations = append(s.Relations, *rs)

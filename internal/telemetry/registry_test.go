@@ -1,10 +1,12 @@
 package telemetry
 
 import (
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/raceflag"
@@ -274,5 +276,129 @@ func TestWritePrometheusFormat(t *testing.T) {
 			}
 			prevBucket = v
 		}
+	}
+}
+
+// TestDomainLayout pins the layout the hot path's cache-line claims rest
+// on: a domain is whole cache lines, so one shard's lock word shares a
+// line with no other heap object, and so is a cell, so a table's edge
+// never shares a line with a neighbour's; a hit writes only the cell's
+// first line.
+func TestDomainLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the layout is pinned for 64-bit platforms")
+	}
+	if n := unsafe.Sizeof(domain{}); n%64 != 0 {
+		t.Errorf("domain is %d bytes, want a multiple of 64", n)
+	}
+	var c refCell
+	if n := unsafe.Sizeof(c); n%64 != 0 {
+		t.Errorf("refCell is %d bytes, want a multiple of 64", n)
+	}
+	for name, off := range map[string]uintptr{
+		"refs": unsafe.Offsetof(c.refs), "hits": unsafe.Offsetof(c.hits), "bytes": unsafe.Offsetof(c.bytes),
+		"costTotal": unsafe.Offsetof(c.costTotal), "costSaved": unsafe.Offsetof(c.costSaved),
+	} {
+		if off+8 > 64 {
+			t.Errorf("hit-path field %s at offset %d leaves the cell's first line", name, off)
+		}
+	}
+}
+
+// TestSnapshotNeverTorn scrapes while several shard sinks emit hits and
+// admitted misses, each sink into its own class; the even sinks emit
+// only hits, so a class whose references are read before its hits shows
+// a negative MissesAdmitted. Each domain is read as one set, so no class
+// may show a negative derived count and no counter may go backwards
+// between successive snapshots.
+func TestSnapshotNeverTorn(t *testing.T) {
+	const sinks, snapshots = 4, 100_000
+	r := NewRegistry()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < sinks; i++ {
+		wg.Add(1)
+		go func(i int, sink core.EventSink) {
+			defer wg.Done()
+			hit := hitEvent(i, 3, []string{"lineitem"})
+			miss := core.Event{Kind: core.EventMissAdmitted, Class: i, Cost: 5, Relations: []string{"orders"}}
+			for j := 1; ; j++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if i%2 == 1 && j%4 == 0 {
+					sink.Emit(miss)
+				} else {
+					sink.Emit(hit)
+				}
+				if j%64 == 0 {
+					runtime.Gosched() // leave the scraper a core on small machines
+				}
+			}
+		}(i, r.ShardSink(i))
+	}
+	defer func() { close(stop); wg.Wait() }()
+
+	prev := make([]ClassSnapshot, sinks)
+	for n := 0; n < snapshots; n++ {
+		s := r.Snapshot()
+		for _, c := range s.Classes {
+			p := prev[c.Class]
+			if c.MissesAdmitted() < 0 {
+				t.Fatalf("snapshot %d: class %d MissesAdmitted = %d (torn read)", n, c.Class, c.MissesAdmitted())
+			}
+			if c.Hits < p.Hits || c.References < p.References || c.CostTotal < p.CostTotal ||
+				c.MissesAdmitted() < p.MissesAdmitted() {
+				t.Fatalf("snapshot %d: class %d went backwards: hits %d→%d, references %d→%d, cost %g→%g, misses admitted %d→%d",
+					n, c.Class, p.Hits, c.Hits, p.References, c.References, p.CostTotal, c.CostTotal,
+					p.MissesAdmitted(), c.MissesAdmitted())
+			}
+			prev[c.Class] = c
+		}
+	}
+}
+
+// TestRelationCapExact races first sightings of distinct relation names
+// into one domain: the cap is checked under the domain lock, so exactly
+// MaxTrackedRelations named cells plus the overflow cell exist, and every
+// charge lands in one of them.
+func TestRelationCapExact(t *testing.T) {
+	const workers, perWorker = 4, 600
+	r := NewRegistry()
+	sink := r.ShardSink(0)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				sink.Emit(hitEvent(0, 2, []string{"rel_" + strconv.Itoa(w) + "_" + strconv.Itoa(i)}))
+			}
+		}(w)
+	}
+	wg.Wait()
+	s := r.Snapshot()
+	if got := len(s.Relations); got != MaxTrackedRelations+1 {
+		t.Fatalf("relation cells = %d, want exactly %d named plus %s", got, MaxTrackedRelations, OverflowRelation)
+	}
+	var refs int64
+	var cost float64
+	var overflow int64 = -1
+	for _, rs := range s.Relations {
+		refs += rs.References
+		cost += rs.CostTotal
+		if rs.Relation == OverflowRelation {
+			overflow = rs.References
+		} else if rs.References != 1 {
+			t.Fatalf("named cell %q has %d references, want 1", rs.Relation, rs.References)
+		}
+	}
+	if want := int64(workers*perWorker - MaxTrackedRelations); overflow != want {
+		t.Fatalf("%s holds %d references, want %d", OverflowRelation, overflow, want)
+	}
+	if refs != workers*perWorker || cost != 2*workers*perWorker {
+		t.Fatalf("relation sums: references %d, cost %g; want %d and %d", refs, cost, workers*perWorker, 2*workers*perWorker)
 	}
 }
