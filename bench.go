@@ -16,9 +16,6 @@ import (
 // with sizes and execution costs.
 type Trace = trace.Trace
 
-// TraceRecord is one submission in a trace.
-type TraceRecord = trace.Record
-
 // TraceStats summarizes a trace, including the exact infinite-cache CSR and
 // HR bounds.
 type TraceStats = trace.Stats
@@ -76,9 +73,6 @@ type ExperimentSuite = experiments.Suite
 func NewExperimentSuite(opts ExperimentOptions) *ExperimentSuite {
 	return experiments.NewSuite(opts)
 }
-
-// DefaultPageSize is the storage page size used by the synthetic databases.
-const DefaultPageSize = relation.DefaultPageSize
 
 // BufferSimConfig parameterizes the WATCHMAN ↔ buffer-manager cooperation
 // experiment (Figure 7 of the paper).

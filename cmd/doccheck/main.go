@@ -1,5 +1,5 @@
 // Command doccheck is the repository's documentation linter, run by the CI
-// docs job. It enforces four invariants without external dependencies:
+// docs job. It enforces five invariants without external dependencies:
 //
 //  1. every exported identifier (functions, methods, types, consts, vars)
 //     in every non-test Go file carries a doc comment, and every package
@@ -12,7 +12,10 @@
 //     longer exists;
 //  4. every benchmark named in README.md or docs/*.md (BenchmarkXxx, by
 //     Go's naming rule) is declared as a func in some _test.go file of
-//     the module.
+//     the module;
+//  5. every watchman.X cited in README.md or docs/*.md names an exported
+//     identifier of the root package, so a trimmed facade cannot leave a
+//     snippet behind that no longer compiles.
 //
 // Usage:
 //
@@ -46,6 +49,7 @@ func main() {
 	problems = append(problems, checkMarkdownLinks(root)...)
 	problems = append(problems, checkAnalyzerDocs(root)...)
 	problems = append(problems, checkBenchmarkCitations(root)...)
+	problems = append(problems, checkFacadeCitations(root)...)
 	for _, p := range problems {
 		fmt.Println(p)
 	}
@@ -330,6 +334,58 @@ func benchCitationProblems(path, content string, defined map[string]bool) []stri
 			if !defined[name] {
 				problems = append(problems,
 					fmt.Sprintf("%s:%d: cites %s, which no _test.go file declares", path, i+1, name))
+			}
+		}
+	}
+	return problems
+}
+
+// facadeCitation matches a root-package identifier as the documents cite
+// it: the package name, a dot and an exported name.
+var facadeCitation = regexp.MustCompile(`\bwatchman\.([A-Z][A-Za-z0-9_]*)`)
+
+// checkFacadeCitations verifies every watchman.X the documents cite
+// against the exported top-level names of the root package's non-test
+// files.
+func checkFacadeCitations(root string) []string {
+	files, _ := filepath.Glob(filepath.Join(root, "*.go"))
+	exported := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return []string{fmt.Sprintf("%s: parse error: %v", path, err)}
+		}
+		for name, obj := range f.Scope.Objects {
+			if obj.Kind != ast.Bad && ast.IsExported(name) {
+				exported[name] = true
+			}
+		}
+	}
+	var problems []string
+	for _, file := range docFiles(root) {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			problems = append(problems, fmt.Sprintf("%s: %v", file, err))
+			continue
+		}
+		problems = append(problems, facadeCitationProblems(file, string(data), exported)...)
+	}
+	return problems
+}
+
+// facadeCitationProblems is the testable core of checkFacadeCitations:
+// one problem per cited watchman.X that exported does not hold.
+func facadeCitationProblems(path, content string, exported map[string]bool) []string {
+	var problems []string
+	for i, line := range strings.Split(content, "\n") {
+		for _, m := range facadeCitation.FindAllStringSubmatch(line, -1) {
+			if !exported[m[1]] {
+				problems = append(problems,
+					fmt.Sprintf("%s:%d: cites watchman.%s, which the root package does not export", path, i+1, m[1]))
 			}
 		}
 	}

@@ -75,3 +75,28 @@ func TestBenchCitationsAgainstRepo(t *testing.T) {
 		t.Fatalf("docs cite benchmarks that do not exist: %v", got)
 	}
 }
+
+// TestFacadeCitationProblems pins the facade-citation rule: an exported
+// name passes, a name the root package does not export is one problem
+// naming its line, the file name watchman.go is not a citation, and a
+// watchman.X.Method chain is checked by X alone.
+func TestFacadeCitationProblems(t *testing.T) {
+	exported := map[string]bool{"New": true, "Sharded": true}
+	ok := "See `watchman.go`; call `watchman.New` and `watchman.Sharded.Load`.\n"
+	if got := facadeCitationProblems("docs/X.md", ok, exported); len(got) != 0 {
+		t.Fatalf("exported names must pass, got %v", got)
+	}
+	stale := ok + "reg := watchman.NewTelemetryRegistry()\n"
+	got := facadeCitationProblems("docs/X.md", stale, exported)
+	if len(got) != 1 || !strings.Contains(got[0], "docs/X.md:2:") || !strings.Contains(got[0], "watchman.NewTelemetryRegistry,") {
+		t.Fatalf("missing name must be exactly one problem naming its line, got %v", got)
+	}
+}
+
+// TestFacadeCitationsAgainstRepo runs the real check over the real README
+// and docs against the real root package.
+func TestFacadeCitationsAgainstRepo(t *testing.T) {
+	if got := checkFacadeCitations("../.."); len(got) != 0 {
+		t.Fatalf("docs cite root-package names that do not exist: %v", got)
+	}
+}

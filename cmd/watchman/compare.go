@@ -64,42 +64,22 @@ func cmdCompare(args []string) error {
 		// The restart experiment replays one fixed policy; reject rather
 		// than silently ignore flags that would not shape it (same
 		// strictness as serve's -tune-window / -snapshot-interval).
-		var ignored []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "policies", "window", "explain", "whatif", "whatif-sample":
-				ignored = append(ignored, "-"+f.Name)
-			}
-		})
-		if len(ignored) > 0 {
-			return fmt.Errorf("compare: %s has no effect with -restart (the experiment always replays lnc-ra)",
-				strings.Join(ignored, ", "))
+		if err := rejectFlags(fs, map[string]string{"policies": "", "window": "", "explain": "", "whatif": "", "whatif-sample": ""},
+			"compare: %s has no effect with -restart (the experiment always replays lnc-ra)"); err != nil {
+			return err
 		}
 	}
 	if !*whatifOn {
-		var ignored []string
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "whatif-sample" {
-				ignored = append(ignored, "-"+f.Name+" (needs -whatif)")
-			}
-		})
-		if len(ignored) > 0 {
-			return fmt.Errorf("compare: %s", strings.Join(ignored, ", "))
+		if err := rejectFlags(fs, map[string]string{"whatif-sample": " (needs -whatif)"}, "compare: %s"); err != nil {
+			return err
 		}
 	} else {
 		// The ghost matrix carries its own policy grid and event-driven
 		// accounting; the per-policy flags of the plain comparison do not
 		// shape it.
-		var ignored []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "policies", "explain":
-				ignored = append(ignored, "-"+f.Name)
-			}
-		})
-		if len(ignored) > 0 {
-			return fmt.Errorf("compare: %s has no effect with -whatif (the ghost matrix runs its own policy grid)",
-				strings.Join(ignored, ", "))
+		if err := rejectFlags(fs, map[string]string{"policies": "", "explain": ""},
+			"compare: %s has no effect with -whatif (the ghost matrix runs its own policy grid)"); err != nil {
+			return err
 		}
 	}
 	var tr *trace.Trace

@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -74,6 +75,23 @@ commands:
 
 run 'watchman <command> -h' for flags.
 `)
+}
+
+// rejectFlags returns an error naming every flag set on the command line
+// that has an entry in notes, each followed by its note, in fs.Visit's
+// lexical order; format receives the comma-joined list. It returns nil
+// when none of them was set.
+func rejectFlags(fs *flag.FlagSet, notes map[string]string, format string) error {
+	var set []string
+	fs.Visit(func(f *flag.Flag) {
+		if note, ok := notes[f.Name]; ok {
+			set = append(set, "-"+f.Name+note)
+		}
+	})
+	if len(set) == 0 {
+		return nil
+	}
+	return fmt.Errorf(format, strings.Join(set, ", "))
 }
 
 // generateTrace builds a trace from CLI parameters.

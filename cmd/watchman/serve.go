@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/admission"
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/derive"
 	"repro/internal/flight"
@@ -89,25 +90,23 @@ func cmdServe(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if !*adaptive || *snapshotPath == "" || !*debugOn || !*whatifOn {
-		// Reject rather than silently ignore flags that have no effect in
-		// this configuration (same strictness as loadgen's -addr).
-		var ignored []string
-		fs.Visit(func(f *flag.Flag) {
-			switch {
-			case f.Name == "tune-window" && !*adaptive:
-				ignored = append(ignored, "-"+f.Name+" (needs -adaptive)")
-			case f.Name == "snapshot-interval" && *snapshotPath == "":
-				ignored = append(ignored, "-"+f.Name+" (needs -snapshot-path)")
-			case (f.Name == "flight-sample" || f.Name == "flight-slow") && !*debugOn:
-				ignored = append(ignored, "-"+f.Name+" (needs -debug)")
-			case f.Name == "whatif-sample" && !*whatifOn:
-				ignored = append(ignored, "-"+f.Name+" (needs -whatif)")
-			}
-		})
-		if len(ignored) > 0 {
-			return fmt.Errorf("serve: %s", strings.Join(ignored, ", "))
-		}
+	// Reject rather than silently ignore flags that have no effect in this
+	// configuration (same strictness as loadgen's -addr).
+	needs := map[string]string{}
+	if !*adaptive {
+		needs["tune-window"] = " (needs -adaptive)"
+	}
+	if *snapshotPath == "" {
+		needs["snapshot-interval"] = " (needs -snapshot-path)"
+	}
+	if !*debugOn {
+		needs["flight-sample"], needs["flight-slow"] = " (needs -debug)", " (needs -debug)"
+	}
+	if !*whatifOn {
+		needs["whatif-sample"] = " (needs -whatif)"
+	}
+	if err := rejectFlags(fs, needs, "serve: %s"); err != nil {
+		return err
 	}
 	if *flightSample < 1 {
 		return fmt.Errorf("serve: -flight-sample must be at least 1, got %d", *flightSample)
@@ -303,16 +302,9 @@ func cmdLoadgen(args []string) error {
 		// The cache-shaping flags configure the in-process cache only; a
 		// live server was shaped at its own startup. Reject rather than
 		// silently attribute the results to a configuration never in use.
-		var ignored []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "policy", "shards", "k", "cache-pct", "cache-bytes":
-				ignored = append(ignored, "-"+f.Name)
-			}
-		})
-		if len(ignored) > 0 {
-			return fmt.Errorf("loadgen: %s configure the in-process cache and have no effect with -addr (the server was configured at startup)",
-				strings.Join(ignored, ", "))
+		if err := rejectFlags(fs, map[string]string{"policy": "", "shards": "", "k": "", "cache-pct": "", "cache-bytes": ""},
+			"loadgen: %s configure the in-process cache and have no effect with -addr (the server was configured at startup)"); err != nil {
+			return err
 		}
 	}
 	tr, err := loadTrace(*in)
@@ -590,7 +582,7 @@ func replayConcurrent(tr *trace.Trace, n int, ref referencer) (hits int64, elaps
 	var firstErr atomic.Pointer[error]
 	var wg sync.WaitGroup
 	lats = make([]time.Duration, tr.Len())
-	start := monotime()
+	start := clock.Now()
 	for w := 0; w < n; w++ {
 		wg.Add(1)
 		go func() {
@@ -600,9 +592,9 @@ func replayConcurrent(tr *trace.Trace, n int, ref referencer) (hits int64, elaps
 				if i >= int64(tr.Len()) || firstErr.Load() != nil {
 					return
 				}
-				t0 := monotime()
+				t0 := clock.Now()
 				hit, err := ref(&tr.Records[i])
-				lats[i] = since(t0)
+				lats[i] = clock.Since(t0)
 				if err != nil {
 					firstErr.CompareAndSwap(nil, &err)
 					return
@@ -617,7 +609,7 @@ func replayConcurrent(tr *trace.Trace, n int, ref referencer) (hits int64, elaps
 	if e := firstErr.Load(); e != nil {
 		return 0, 0, nil, *e
 	}
-	return hitCount.Load(), since(start), lats, nil
+	return hitCount.Load(), clock.Since(start), lats, nil
 }
 
 // postReference sends one trace record to a live server's /v1/reference.

@@ -16,15 +16,15 @@ import (
 const (
 	// DefaultWindow is the number of references per tuning round.
 	DefaultWindow = 2000
-	// DefaultAlpha is the EMA factor applied to per-candidate scores
-	// across rounds (weight of the newest round).
-	DefaultAlpha = 0.5
-	// DefaultEpsilon is the minimum smoothed cost-savings improvement over
-	// the incumbent θ required to switch. Hysteresis: without it, score
-	// noise between near-equal candidates would churn the parameter.
-	DefaultEpsilon = 0.005
-	// DefaultHistory is the number of tuning rounds kept for diagnostics.
-	DefaultHistory = 64
+	// alpha is the EMA factor applied to per-candidate scores across
+	// rounds (weight of the newest round).
+	alpha = 0.5
+	// epsilon is the minimum smoothed cost-savings improvement over the
+	// incumbent θ required to switch. Hysteresis: without it, score noise
+	// between near-equal candidates would churn the parameter.
+	epsilon = 0.005
+	// history is the number of tuning rounds kept for diagnostics.
+	history = 64
 	// MinWindow is the smallest Config.Window New accepts; callers that
 	// derive a window (e.g. scaling by a sampling rate) clamp against it.
 	MinWindow = 16
@@ -63,15 +63,6 @@ type Config struct {
 	// Grid lists the candidate thresholds θ to score. It must contain the
 	// initial threshold 1. Nil selects DefaultGrid.
 	Grid []float64
-	// Alpha is the EMA factor for per-candidate scores across rounds, in
-	// (0, 1]; 1 disables smoothing. Zero selects DefaultAlpha.
-	Alpha float64
-	// Epsilon is the minimum smoothed-score improvement over the current
-	// θ required to switch parameters. Zero selects DefaultEpsilon.
-	Epsilon float64
-	// History is the number of tuning rounds retained for the diagnostics
-	// endpoint. Zero selects DefaultHistory.
-	History int
 }
 
 // CandidateScore is one grid candidate's result in a tuning round.
@@ -182,15 +173,6 @@ func New(cfg Config) (*Tuner, error) {
 	}
 	if !hasOne {
 		return nil, fmt.Errorf("admission: grid must contain the initial threshold 1")
-	}
-	if cfg.Alpha <= 0 || cfg.Alpha > 1 {
-		cfg.Alpha = DefaultAlpha
-	}
-	if cfg.Epsilon <= 0 {
-		cfg.Epsilon = DefaultEpsilon
-	}
-	if cfg.History <= 0 {
-		cfg.History = DefaultHistory
 	}
 	t := &Tuner{cfg: cfg, th: NewThreshold(1)}
 	for _, theta := range cfg.Grid {
@@ -328,7 +310,7 @@ func (a *shadowArm) feed(samples []Sample) float64 {
 // TuneOnce runs one tuning round synchronously: drain the profiles, feed
 // the window through every candidate's persistent shadow cache, fold each
 // windowed cost-savings score into the cross-round EMAs, and publish the
-// best candidate if it beats the incumbent by at least Epsilon. It returns
+// best candidate if it beats the incumbent by at least epsilon. It returns
 // the round summary; ok is false when the window held too few samples to
 // score.
 //
@@ -355,7 +337,7 @@ func (t *Tuner) TuneOnce() (round Round, ok bool) {
 		csr := a.feed(samples)
 		windowCSR[i] = csr
 		if a.seeded {
-			a.score = t.cfg.Alpha*csr + (1-t.cfg.Alpha)*a.score
+			a.score = alpha*csr + (1-alpha)*a.score
 		} else {
 			a.score, a.seeded = csr, true
 		}
@@ -372,7 +354,7 @@ func (t *Tuner) TuneOnce() (round Round, ok bool) {
 	// Switch only on a clear smoothed win over the incumbent (hysteresis);
 	// if the incumbent is somehow off the grid, adopt the best candidate
 	// unconditionally.
-	if currentIdx < 0 || t.arms[bestIdx].score > t.arms[currentIdx].score+t.cfg.Epsilon {
+	if currentIdx < 0 || t.arms[bestIdx].score > t.arms[currentIdx].score+epsilon {
 		next = t.arms[bestIdx].theta
 		switched = next != current
 		t.th.Store(next)
@@ -396,8 +378,8 @@ func (t *Tuner) TuneOnce() (round Round, ok bool) {
 		}
 	}
 	t.rounds = append([]Round{round}, t.rounds...)
-	if len(t.rounds) > t.cfg.History {
-		t.rounds = t.rounds[:t.cfg.History]
+	if len(t.rounds) > history {
+		t.rounds = t.rounds[:history]
 	}
 	return round, true
 }

@@ -1,13 +1,14 @@
 package analysis
 
 // timesource: raw wall-clock reads are forbidden outside designated
-// time-source files. WATCHMAN's replay determinism (the golden TPC-D
-// equivalence tests, warm-restart bit-identity, the what-if ghost
-// replays) holds only because every timestamp flows through an
-// injectable time source — core works in logical seconds from the trace
-// and shard.WallClock adapts real time to that scale. A stray time.Now()
-// in the lifecycle silently re-introduces wall-clock dependence that no
-// unit test catches until a replay diverges.
+// time-source files — internal/clock and bench/clock.go. WATCHMAN's
+// replay determinism (the golden TPC-D equivalence tests, warm-restart
+// bit-identity, the what-if ghost replays) holds only because every
+// timestamp flows through an injectable time source — core works in
+// logical seconds from the trace and clock.Wall adapts real time to that
+// scale. A stray time.Now() in the lifecycle silently re-introduces
+// wall-clock dependence that no unit test catches until a replay
+// diverges.
 
 import (
 	"go/ast"
@@ -19,8 +20,8 @@ import (
 var TimeSource = &Analyzer{
 	Name: "timesource",
 	Doc: "forbids raw time.Now/time.Since outside //watchman:timesource files, " +
-		"protecting replay determinism: all timestamps must flow through the " +
-		"designated per-package clock files or the injected time source",
+		"protecting replay determinism: all timestamps must flow through " +
+		"internal/clock, bench/clock.go or the injected time source",
 	Run: runTimeSource,
 }
 

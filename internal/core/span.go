@@ -9,6 +9,8 @@ package core
 // enabled (the scratch span lives on the Cache and is passed by value),
 // and sinks run under the cache's execution context.
 
+import "repro/internal/clock"
+
 // Stage indexes one lifecycle stage of a reference span. The stages are
 // the named steps of the reference lifecycle; a span accumulates wall
 // nanoseconds per stage as the reference moves through them.
@@ -122,7 +124,7 @@ func (c *Cache) spanBegin(id string, class int, size int64, cost, now float64) {
 	if c.tracer == nil {
 		return
 	}
-	c.span = Span{ID: id, Class: class, Size: size, Cost: cost, Time: now, Start: monotonicNanos()}
+	c.span = Span{ID: id, Class: class, Size: size, Cost: cost, Time: now, Start: clock.Nanos()}
 	c.spanMark = c.span.Start
 }
 
@@ -143,7 +145,7 @@ func (c *Cache) spanStage(st Stage) {
 	if c.tracer == nil {
 		return
 	}
-	now := monotonicNanos()
+	now := clock.Nanos()
 	c.span.Stages[st] += now - c.spanMark
 	c.spanMark = now
 }
@@ -195,6 +197,6 @@ func (c *Cache) spanSubmit() {
 	if c.tracer == nil {
 		return
 	}
-	c.span.Total = monotonicNanos() - c.span.Start
+	c.span.Total = clock.Nanos() - c.span.Start
 	c.tracer.ObserveSpan(c.span)
 }

@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"repro/internal/admission"
+	"repro/internal/clock"
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/shard"
@@ -188,7 +189,7 @@ type Server struct {
 
 // New builds a server around the cache and registers all routes.
 func New(cache *shard.Sharded) *Server {
-	s := &Server{cache: cache, mux: http.NewServeMux(), start: monotime()}
+	s := &Server{cache: cache, mux: http.NewServeMux(), start: clock.Now()}
 	s.mux.HandleFunc("POST /v1/reference", s.handleReference)
 	s.mux.HandleFunc("GET /v1/peek/{id}", s.handlePeek)
 	s.mux.HandleFunc("GET /v1/explain/{id}", s.handleExplain)
@@ -540,7 +541,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		telemetry.EscapeLabel(buildVersion()), telemetry.EscapeLabel(runtime.Version()))
 	fmt.Fprintf(w, "# HELP watchman_uptime_seconds Seconds since the server started.\n"+
 		"# TYPE watchman_uptime_seconds gauge\n"+
-		"watchman_uptime_seconds %.3f\n", since(s.start).Seconds())
+		"watchman_uptime_seconds %.3f\n", clock.Since(s.start).Seconds())
 }
 
 // buildVersion reports the main module's version from the embedded build
@@ -573,7 +574,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Status:        "ok",
 		Version:       buildVersion(),
 		GoVersion:     runtime.Version(),
-		UptimeSeconds: since(s.start).Seconds(),
+		UptimeSeconds: clock.Since(s.start).Seconds(),
 		Snapshot:      s.snapshotStatus(),
 	})
 }

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"repro/internal/admission"
+	"repro/internal/clock"
 	"repro/internal/core"
 	flightrec "repro/internal/flight" // aliased: this package's singleflight struct is also named flight
 	"repro/internal/telemetry"
@@ -214,6 +215,10 @@ type Sharded struct {
 	coalesced   atomic.Int64
 	derivations atomic.Int64
 }
+
+// WallClock returns a time source that maps wall time to core's logical
+// seconds: seconds elapsed since the call that created it.
+func WallClock() func() float64 { return clock.Wall() }
 
 // New creates a sharded cache. The configuration must name a power-of-two
 // shard count and enough capacity for every shard to hold at least one
@@ -456,7 +461,7 @@ func (s *Sharded) Load(req core.Request) (payload any, hit bool, err error) {
 		// the loader bypassed. Those fall through to the loader.
 		var start time.Time
 		if s.rec != nil {
-			start = monotime()
+			start = clock.Now()
 		}
 		if d, ok := s.deriver.Derive(core.Request{QueryID: id, Class: req.Class,
 			Relations: req.Relations, Plan: req.Plan}); ok && d.Payload != nil {
@@ -465,7 +470,7 @@ func (s *Sharded) Load(req core.Request) (payload any, hit bool, err error) {
 			s.derivations.Add(1)
 		}
 		if s.rec != nil {
-			f.execNanos = sinceNanos(start)
+			f.execNanos = int64(clock.Since(start))
 		}
 	}
 	if f.derivation == nil {
@@ -531,7 +536,7 @@ func (s *Sharded) Load(req core.Request) (payload any, hit bool, err error) {
 func (s *Sharded) runLoader(f *flight, req core.Request) {
 	var start time.Time
 	if s.reg != nil || s.rec != nil {
-		start = monotime()
+		start = clock.Now()
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -539,10 +544,10 @@ func (s *Sharded) runLoader(f *flight, req core.Request) {
 		}
 		s.loaderCalls.Add(1)
 		if s.reg != nil {
-			s.reg.ObserveLoad(sinceSeconds(start), f.err != nil)
+			s.reg.ObserveLoad(clock.Since(start).Seconds(), f.err != nil)
 		}
 		if s.rec != nil {
-			f.execNanos += sinceNanos(start)
+			f.execNanos += int64(clock.Since(start))
 		}
 	}()
 	f.payload, f.size, f.cost, f.err = s.loader(req)

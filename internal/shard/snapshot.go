@@ -17,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/persist"
 )
@@ -61,10 +62,10 @@ func (s *Sharded) StreamSnapshot(w io.Writer) (SnapshotInfo, error) {
 		// stream prefix the image does.
 		s.whatif.Drain()
 	}
-	start := monotime()
+	start := clock.Now()
 	var maxPause time.Duration
 	pause := func(t0 time.Time) {
-		if d := since(t0); d > maxPause {
+		if d := clock.Since(t0); d > maxPause {
 			maxPause = d
 		}
 	}
@@ -73,19 +74,19 @@ func (s *Sharded) StreamSnapshot(w io.Writer) (SnapshotInfo, error) {
 	// max across shards), so sweep the clocks up front. Under live
 	// traffic the declared clock may trail a shard's header clock by the
 	// references that land between this sweep and that shard's export.
-	var clock float64
+	var declared float64
 	for _, sh := range s.shards {
-		t0 := monotime()
+		t0 := clock.Now()
 		sh.mu.Lock()
-		if c := sh.cache.Clock(); c > clock {
-			clock = c
+		if c := sh.cache.Clock(); c > declared {
+			declared = c
 		}
 		sh.mu.Unlock()
 		pause(t0)
 	}
 
 	cw := &countingWriter{w: w}
-	sw, err := persist.NewStreamWriter(cw, len(s.shards), clock)
+	sw, err := persist.NewStreamWriter(cw, len(s.shards), declared)
 	if err != nil {
 		return SnapshotInfo{}, err
 	}
@@ -94,7 +95,7 @@ func (s *Sharded) StreamSnapshot(w io.Writer) (SnapshotInfo, error) {
 	resident := 0
 	scratch := make([]core.EntryState, 0, snapshotChunkEntries)
 	for _, sh := range s.shards {
-		t0 := monotime()
+		t0 := clock.Now()
 		sh.mu.Lock()
 		cur := sh.cache.ExportBegin()
 		sh.mu.Unlock()
@@ -103,7 +104,7 @@ func (s *Sharded) StreamSnapshot(w io.Writer) (SnapshotInfo, error) {
 			return SnapshotInfo{}, err
 		}
 		for cur.Remaining() > 0 {
-			t0 = monotime()
+			t0 = clock.Now()
 			sh.mu.Lock()
 			chunk, _ := sh.cache.ExportChunk(cur, snapshotChunkEntries, scratch[:cap(scratch)])
 			sh.mu.Unlock()
@@ -135,7 +136,7 @@ func (s *Sharded) StreamSnapshot(w io.Writer) (SnapshotInfo, error) {
 	info := SnapshotInfo{
 		Bytes:        cw.n,
 		Resident:     resident,
-		Elapsed:      since(start),
+		Elapsed:      clock.Since(start),
 		MaxLockPause: maxPause,
 	}
 	if s.reg != nil {
@@ -339,7 +340,7 @@ func (sn *Snapshotter) writeAndRecord() (SnapshotInfo, error) {
 	sn.lastMu.Lock()
 	sn.lastErr = err
 	if err == nil {
-		sn.lastGood, sn.lastGoodAt = info, monotime()
+		sn.lastGood, sn.lastGoodAt = info, clock.Now()
 	}
 	sn.lastMu.Unlock()
 	return info, err
@@ -349,7 +350,7 @@ func (sn *Snapshotter) writeAndRecord() (SnapshotInfo, error) {
 // held. The capture streams (StreamSnapshot), so shard locks are held
 // only per-chunk and never across the file I/O.
 func (sn *Snapshotter) write() (SnapshotInfo, error) {
-	start := monotime()
+	start := clock.Now()
 	dir := filepath.Dir(sn.path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(sn.path)+".tmp*")
 	if err != nil {
@@ -372,7 +373,7 @@ func (sn *Snapshotter) write() (SnapshotInfo, error) {
 		return SnapshotInfo{}, fmt.Errorf("shard: snapshot: %w", err)
 	}
 	info.Path = sn.path
-	info.Elapsed = since(start)
+	info.Elapsed = clock.Since(start)
 	return info, nil
 }
 

@@ -28,9 +28,6 @@ func (r Result) CSR() float64 { return r.Stats.CostSavingsRatio() }
 // HR returns the hit ratio of the replay.
 func (r Result) HR() float64 { return r.Stats.HitRatio() }
 
-// Fragmentation returns the average unused-space fraction of the replay.
-func (r Result) Fragmentation() float64 { return r.Stats.AvgFragmentation() }
-
 // Request converts a trace record into the cache request a replay
 // submits.
 func Request(rec *trace.Record) core.Request {
