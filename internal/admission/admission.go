@@ -14,20 +14,23 @@
 // where θ = 1 is the paper's static test, θ < 1 admits more aggressively
 // and θ > 1 more conservatively, and then tunes θ online:
 //
-//   - every reference is recorded into a windowed Profile (one per shard;
-//     profiles aggregate into one Tuner);
-//   - when the window fills, the Tuner replays the recent trace through a
-//     small shadow cache once per candidate θ on a log-spaced grid and
-//     scores each candidate by the cost savings ratio it would have earned;
+//   - the Tuner is an event sink of the live cache: every reference
+//     outcome reaches it, in stream order, through its ghost.Feed, and is
+//     replayed at once into a small shadow cache per candidate θ on a
+//     log-spaced grid (coherence invalidations reach the shadows at their
+//     place in the same stream);
+//   - every Window outcomes a round scores each candidate by the cost
+//     savings ratio its shadow earned over the window;
 //   - per-candidate scores are smoothed with an EMA across tuning rounds
 //     (AdaptSize smooths per-object rates the same way) so one unusual
 //     window cannot whipsaw the parameter;
 //   - the winning θ is published atomically; the live admission check reads
 //     it with a single atomic load, so the hot path takes no lock.
 //
-// The Tuner is deterministic when driven synchronously (TuneOnce), which
-// the simulator and the tests rely on; the sharded serving layer drives it
-// asynchronously (TriggerAsync) off the request path.
+// Offline replays (internal/sim) leave the feed inline, so the replay is
+// deterministic: each outcome is applied, and each round closed, inside
+// the live cache's reference call. The sharded serving layer starts the
+// feed's worker, which keeps the shadow replays off the request path.
 package admission
 
 import (

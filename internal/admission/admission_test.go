@@ -14,6 +14,14 @@ func sampleFor(query string, size int64, cost, time float64) Sample {
 	return Sample{ID: id, Sig: core.Signature(id), Size: size, Cost: cost, Time: time}
 }
 
+// emit hands the tuner one reference outcome, as a live cache's event
+// stream would. The feed is inline, so the outcome has reached every
+// shadow (and closed the round, if it was the window's last) on return.
+func emit(tu *Tuner, s Sample) {
+	tu.Emit(core.Event{Kind: core.EventHit, ID: s.ID, Time: s.Time, Size: s.Size, Cost: s.Cost,
+		Relations: s.Relations})
+}
+
 func TestThresholdPublishLoad(t *testing.T) {
 	th := NewThreshold(1)
 	if got := th.Load(); got != 1 {
@@ -65,9 +73,9 @@ func TestNewValidation(t *testing.T) {
 }
 
 // TestShadowMatchesBruteForce pins the core property of the evaluator: a
-// candidate's persistent shadow cache, fed window by window, reports
-// exactly the statistics of a brute-force replay of every drained sample
-// through one static-θ cache.
+// candidate's persistent shadow cache, fed outcome by outcome across
+// rounds, reports exactly the statistics of a brute-force replay of every
+// outcome through one static-θ cache.
 func TestShadowMatchesBruteForce(t *testing.T) {
 	const window = 64
 	grid := []float64{0.25, 1, 4}
@@ -75,14 +83,10 @@ func TestShadowMatchesBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	profile := tu.NewProfile()
 
 	// A small mixed workload: a cyclic hot set plus unique cold queries.
-	var fed []Sample // every sample drained into the shadows so far
-	var pending []Sample
+	var fed []Sample
 	now := 0.0
-	var lastRound Round
-	rounds := 0
 	for i := 0; i < 4*window; i++ {
 		now += 1
 		var s Sample
@@ -91,19 +95,12 @@ func TestShadowMatchesBruteForce(t *testing.T) {
 		} else {
 			s = sampleFor(fmt.Sprintf("hot query %d", i%7), 500, 250, now)
 		}
-		pending = append(pending, s)
-		if profile.Record(s) {
-			round, ok := tu.TuneOnce()
-			if !ok {
-				t.Fatalf("round %d: TuneOnce declined a full window", rounds+1)
-			}
-			fed = append(fed, pending...)
-			pending = pending[:0]
-			lastRound, rounds = round, rounds+1
-		}
+		fed = append(fed, s)
+		emit(tu, s)
 	}
-	if rounds != 4 {
-		t.Fatalf("completed %d rounds, want 4", rounds)
+	rounds := tu.Rounds()
+	if len(rounds) != 4 {
+		t.Fatalf("completed %d rounds, want 4", len(rounds))
 	}
 
 	for i, theta := range grid {
@@ -122,7 +119,7 @@ func TestShadowMatchesBruteForce(t *testing.T) {
 			}, s.Sig)
 		}
 		want := shadow.Stats().CostSavingsRatio()
-		got := lastRound.Scores[i].TotalCSR
+		got := rounds[0].Scores[i].TotalCSR
 		if got != want {
 			t.Errorf("θ=%g: shadow cumulative CSR %.9f, brute-force replay %.9f", theta, got, want)
 		}
@@ -185,16 +182,13 @@ func TestTunerConvergesOnBimodalWorkload(t *testing.T) {
 		K:        4,
 		Policy:   core.LNCRA,
 		Admitter: tu.Admitter(),
+		Sink:     tu,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	profile := tu.NewProfile()
 	for _, s := range samples {
 		live.ReferenceCanonical(core.Request{QueryID: s.ID, Time: s.Time, Size: s.Size, Cost: s.Cost}, s.Sig)
-		if profile.Record(s) {
-			tu.TuneOnce()
-		}
 	}
 
 	if got := tu.Threshold(); got <= 1 {
@@ -207,31 +201,6 @@ func TestTunerConvergesOnBimodalWorkload(t *testing.T) {
 	}
 	if rounds := tu.Rounds(); len(rounds) == 0 || rounds[0].Seq != int64(len(rounds)) {
 		t.Errorf("round history malformed: %d rounds, newest seq %d", len(rounds), rounds[0].Seq)
-	}
-}
-
-// TestProfileRingOverflow checks that a profile holds at most one window
-// of samples and drains the newest ones in order when tuning falls behind.
-func TestProfileRingOverflow(t *testing.T) {
-	tu, err := New(Config{Capacity: 1 << 20, Window: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := tu.NewProfile()
-	for i := 0; i < 40; i++ {
-		p.Record(sampleFor(fmt.Sprintf("q%d", i), 100, 10, float64(i)))
-	}
-	got := p.drain()
-	if len(got) != 16 {
-		t.Fatalf("drained %d samples, want the window size 16", len(got))
-	}
-	for i, s := range got {
-		if want := float64(24 + i); s.Time != want {
-			t.Errorf("sample %d has time %g, want %g (newest window, oldest first)", i, s.Time, want)
-		}
-	}
-	if again := p.drain(); len(again) != 0 {
-		t.Errorf("second drain returned %d samples, want 0", len(again))
 	}
 }
 
@@ -251,74 +220,65 @@ func TestShadowsHonorInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := tu.NewProfile()
-	ref := func(times int, start float64) {
+	ref := func(times int, start float64) Round {
 		for i := 0; i < times; i++ {
 			s := sampleFor("select * from r", 100, 50, start+float64(i))
 			s.Relations = []string{"r"}
-			p.Record(s)
+			emit(tu, s)
 		}
+		return tu.Rounds()[0]
 	}
-	ref(16, 1)
-	round, ok := tu.TuneOnce()
-	if !ok {
-		t.Fatal("first round declined")
-	}
-	if round.Scores[0].CSR == 0 {
+	if round := ref(16, 1); round.Scores[0].CSR == 0 {
 		t.Fatal("repeated references must score shadow hits before invalidation")
 	}
 	tu.Invalidate("r")
-	ref(16, 100)
-	round, ok = tu.TuneOnce()
-	if !ok {
-		t.Fatal("second round declined")
-	}
 	// After the invalidation the set must be re-fetched once (a miss) in
 	// the shadow before hitting again: strictly fewer window hits than a
 	// shadow that ignored the coherence event (which would hit all 16).
-	if round.Scores[0].CSR >= 1 {
+	if round := ref(16, 100); round.Scores[0].CSR >= 1 {
 		t.Errorf("post-invalidation window CSR = %g, want < 1 (first reference must miss)", round.Scores[0].CSR)
 	}
 }
 
-// TestRecordReportsBacklogPastWindow guards the tuning-stall regression:
-// once the recorded count passes the window without a drain (a trigger
-// swallowed by an in-flight round), every further reference must keep
-// reporting the backlog — an exact == comparison would fire once and then
-// never tune again.
-func TestRecordReportsBacklogPastWindow(t *testing.T) {
+// TestRoundClosesEveryWindow pins the round cadence: the Window-th
+// outcome of each window closes a round of exactly Window samples, and
+// the outcomes after the last round stay in the window, in stream order,
+// for TuneOnce and ExportState.
+func TestRoundClosesEveryWindow(t *testing.T) {
 	tu, err := New(Config{Capacity: 1 << 20, Window: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := tu.NewProfile()
-	full := 0
 	for i := 0; i < 40; i++ {
-		if p.Record(sampleFor(fmt.Sprintf("q%d", i), 100, 10, float64(i+1))) {
-			full++
+		emit(tu, sampleFor(fmt.Sprintf("q%d", i), 100, 10, float64(i+1)))
+	}
+	rounds := tu.Rounds()
+	if len(rounds) != 2 || rounds[0].Samples != 16 || rounds[1].Samples != 16 {
+		t.Fatalf("rounds = %+v, want two rounds of 16 samples", rounds)
+	}
+	open := tu.ExportState().Samples
+	if len(open) != 8 {
+		t.Fatalf("window holds %d samples, want the 8 after the last round", len(open))
+	}
+	for i, s := range open {
+		if want := float64(33 + i); s.Time != want {
+			t.Errorf("sample %d has time %g, want %g (stream order)", i, s.Time, want)
 		}
 	}
-	if full != 25 {
-		t.Errorf("%d references reported a pending window, want 25 (every one from the 16th on)", full)
-	}
-	if _, ok := tu.TuneOnce(); !ok {
-		t.Fatal("backlogged window must score")
-	}
-	if p.Record(sampleFor("fresh", 100, 10, 41)) {
-		t.Error("first reference after a drain cannot report a full window")
+	if _, ok := tu.TuneOnce(); ok {
+		t.Error("TuneOnce scored the 8-sample window below the minimum")
 	}
 }
 
-// TestTuneOnceSkipsTinyWindows ensures a near-empty drain cannot publish a
-// parameter from noise.
+// TestTuneOnceSkipsTinyWindows ensures a near-empty window cannot publish
+// a parameter from noise.
 func TestTuneOnceSkipsTinyWindows(t *testing.T) {
 	tu, err := New(Config{Capacity: 1 << 20, Window: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := tu.NewProfile()
 	for i := 0; i < minRoundSamples-1; i++ {
-		p.Record(sampleFor(fmt.Sprintf("q%d", i), 100, 10, float64(i+1)))
+		emit(tu, sampleFor(fmt.Sprintf("q%d", i), 100, 10, float64(i+1)))
 	}
 	if _, ok := tu.TuneOnce(); ok {
 		t.Error("TuneOnce scored a window below minRoundSamples")
@@ -347,12 +307,8 @@ func TestArmScores(t *testing.T) {
 		}
 	}
 
-	p := tu.NewProfile()
 	for i := 0; i < 16; i++ {
-		p.Record(sampleFor(fmt.Sprintf("q%d", i%5), 500, 250, float64(i+1)))
-	}
-	if _, ok := tu.TuneOnce(); !ok {
-		t.Fatal("full window must score")
+		emit(tu, sampleFor(fmt.Sprintf("q%d", i%5), 500, 250, float64(i+1)))
 	}
 	for _, a := range tu.ArmScores() {
 		if !a.Seeded || a.References != 16 {

@@ -3,13 +3,12 @@ package admission
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // This file is the snapshot-persistence surface of the tuner: the
-// published θ, the per-candidate smoothed scores, and the buffered
-// shadow-profile windows can be exported as plain data and restored into
-// a freshly constructed Tuner, so a restarted server resumes admission at
+// published θ, the per-candidate smoothed scores, and the outcomes of the
+// window in progress can be exported as plain data and restored into a
+// freshly constructed Tuner, so a restarted server resumes admission at
 // the tuned aggressiveness instead of the static θ = 1.
 //
 // The shadow caches themselves are deliberately NOT persisted: each one
@@ -18,6 +17,25 @@ import (
 // traffic anyway. They restart cold and re-warm over the next few tuning
 // rounds, while the EMA scores — the slow-moving signal that actually
 // picks θ — survive the restart.
+
+// Sample is one reference outcome of the window in progress, in the
+// canonical form the shadows replay: ID is a core.CompressID result and
+// Sig its core.Signature.
+type Sample struct {
+	// ID is the compressed query ID.
+	ID string
+	// Sig is the signature of ID.
+	Sig uint64
+	// Size is the retrieved set size in bytes.
+	Size int64
+	// Cost is the execution cost in logical block reads.
+	Cost float64
+	// Time is the reference time in logical seconds.
+	Time float64
+	// Relations lists the query's base relations, so shadow caches honor
+	// the same coherence invalidations the live cache does.
+	Relations []string
+}
 
 // ArmState is one grid candidate's cross-round scoring state.
 type ArmState struct {
@@ -31,39 +49,22 @@ type ArmState struct {
 }
 
 // TunerState is the exportable form of a Tuner: the published parameter,
-// the per-candidate EMAs, and the reference samples buffered in every
-// profile (the shadow-profile windows) at capture time.
+// the per-candidate EMAs, and the outcomes of the window in progress at
+// capture time.
 type TunerState struct {
 	// Theta is the published admission threshold.
 	Theta float64
 	// Arms carries each grid candidate's scoring state, in grid order.
 	Arms []ArmState
-	// Samples are the buffered-but-not-yet-scored reference samples of
-	// all profiles, merged in time order. A restored tuner replays them
-	// into a fresh profile so the window in flight at shutdown is not
-	// lost.
+	// Samples are the current window's not-yet-scored outcomes, in stream
+	// order. A restored tuner replays them into its shadows so the window
+	// in flight at shutdown is not lost.
 	Samples []Sample
 }
 
-// peek copies the profile's buffered samples in arrival order without
-// draining them, so an export does not disturb the live tuning cadence.
-func (p *Profile) peek() []Sample {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var out []Sample
-	if p.wrapped {
-		out = make([]Sample, 0, cap(p.samples))
-		out = append(out, p.samples[p.next:]...)
-		out = append(out, p.samples[:p.next]...)
-	} else {
-		out = append(out, p.samples...)
-	}
-	return out
-}
-
-// ExportState captures the tuner's published θ, candidate scores and
-// buffered profile windows. It is safe for concurrent use with Record and
-// TuneOnce; the capture is a consistent read under the tuner's lock.
+// ExportState captures the tuner's published θ, candidate scores and the
+// window in progress. It is a consistent read under the tuner's lock; the
+// caller drains the feed first if it wants every emitted outcome in it.
 func (t *Tuner) ExportState() *TunerState {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -71,24 +72,14 @@ func (t *Tuner) ExportState() *TunerState {
 	for i, a := range t.arms {
 		st.Arms[i] = ArmState{Theta: a.theta, Score: a.score, Seeded: a.seeded}
 	}
-	for _, p := range t.profiles {
-		st.Samples = append(st.Samples, p.peek()...)
-	}
-	sortSamples(st.Samples)
+	st.Samples = append([]Sample(nil), t.window...)
 	return st
-}
-
-// sortSamples orders samples by time (stable, preserving per-profile
-// arrival order on ties) — the same merge order a tuning-round snapshot
-// uses, which also makes exports deterministic.
-func sortSamples(ss []Sample) {
-	sort.SliceStable(ss, func(i, j int) bool { return ss[i].Time < ss[j].Time })
 }
 
 // RestoreState pours an exported state into the tuner: θ is published,
 // candidate scores are matched to the grid by threshold value, and the
-// buffered samples are re-recorded into a dedicated profile so the next
-// tuning round scores them. The tuner must be freshly constructed (no
+// window's samples are replayed into the shadows so the next tuning round
+// scores them. The tuner must be freshly constructed (no
 // completed rounds); candidates in the state that are not on the grid are
 // ignored, and grid candidates absent from the state keep their cold
 // start.
@@ -108,8 +99,8 @@ func (t *Tuner) RestoreState(st *TunerState) error {
 		}
 	}
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.seq != 0 {
-		t.mu.Unlock()
 		return fmt.Errorf("admission: restore into a tuner that already ran %d rounds", t.seq)
 	}
 	byTheta := make(map[float64]*shadowArm, len(t.arms))
@@ -125,12 +116,8 @@ func (t *Tuner) RestoreState(st *TunerState) error {
 		}
 	}
 	t.th.Store(st.Theta)
-	t.mu.Unlock()
-	if len(st.Samples) > 0 {
-		p := t.NewProfile()
-		for i := range st.Samples {
-			p.Record(st.Samples[i])
-		}
+	for _, s := range st.Samples {
+		t.observe(s)
 	}
 	return nil
 }

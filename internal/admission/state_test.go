@@ -17,7 +17,6 @@ func tunedState(t *testing.T) (*Tuner, *TunerState) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := tn.NewProfile()
 	rng := rand.New(rand.NewSource(3))
 	now := 0.0
 	for i := 0; i < 1000; i++ {
@@ -26,15 +25,13 @@ func tunedState(t *testing.T) (*Tuner, *TunerState) {
 		if rng.Intn(4) == 0 {
 			id = core.CompressID("cold")
 		}
-		if p.Record(Sample{ID: id, Sig: core.Signature(id), Size: rng.Int63n(200) + 1,
-			Cost: float64(rng.Intn(500)) + 1, Time: now}) {
-			tn.TuneOnce()
-		}
+		emit(tn, Sample{ID: id, Sig: core.Signature(id), Size: rng.Int63n(200) + 1,
+			Cost: float64(rng.Intn(500)) + 1, Time: now})
 	}
-	// Leave a partial window buffered so the export carries samples.
+	// Leave a partial window open so the export carries samples.
 	for i := 0; i < 20; i++ {
 		now++
-		p.Record(Sample{ID: "tail", Sig: core.Signature("tail"), Size: 10, Cost: 5, Time: now})
+		emit(tn, Sample{ID: "tail", Sig: core.Signature("tail"), Size: 10, Cost: 5, Time: now})
 	}
 	return tn, tn.ExportState()
 }
@@ -45,7 +42,7 @@ func TestTunerExportRestore(t *testing.T) {
 		t.Fatalf("exported %d arms for a %d-candidate grid", len(st.Arms), len(src.Grid()))
 	}
 	if len(st.Samples) == 0 {
-		t.Fatal("export must carry the buffered partial window")
+		t.Fatal("export must carry the open partial window")
 	}
 
 	dst, err := New(Config{Capacity: 8 << 10, Window: 64})

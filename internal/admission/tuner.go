@@ -3,16 +3,15 @@ package admission
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/ghost"
 )
 
-// Default tuning parameters, chosen so a tuning round is cheap relative to
-// the live traffic it profiles (the shadow evaluator replays the window
-// once per grid candidate).
+// Default tuning parameters, chosen so tuning is cheap relative to the
+// live traffic it follows (every outcome is replayed once per grid
+// candidate).
 const (
 	// DefaultWindow is the number of references per tuning round.
 	DefaultWindow = 2000
@@ -29,7 +28,7 @@ const (
 	// derive a window (e.g. scaling by a sampling rate) clamp against it.
 	MinWindow = 16
 	// minRoundSamples is the smallest window the tuner will score; tiny
-	// windows (e.g. a drain racing a concurrent round) carry no signal.
+	// windows (e.g. a TuneOnce just after a round) carry no signal.
 	minRoundSamples = MinWindow
 )
 
@@ -55,10 +54,9 @@ type Config struct {
 	K int
 	// Evictor is ignored: the shadows use the one victim search there is.
 	Evictor core.EvictorKind
-	// Window is the number of recorded references per tuning round; it
+	// Window is the number of reference outcomes per tuning round; it
 	// must be at least 16 (smaller windows carry no tuning signal and are
-	// rejected rather than silently never scoring). Zero selects
-	// DefaultWindow.
+	// rejected). Zero selects DefaultWindow.
 	Window int
 	// Grid lists the candidate thresholds θ to score. It must contain the
 	// initial threshold 1. Nil selects DefaultGrid.
@@ -76,7 +74,7 @@ type CandidateScore struct {
 	Smoothed float64 `json:"smoothed"`
 	// TotalCSR is the shadow cache's cumulative cost savings ratio since
 	// the tuner was created. Because shadows persist across rounds, this
-	// equals a brute-force replay of every recorded sample under Theta.
+	// equals a brute-force replay of every outcome under Theta.
 	TotalCSR float64 `json:"total_csr"`
 }
 
@@ -96,35 +94,31 @@ type Round struct {
 	Scores []CandidateScore `json:"scores"`
 }
 
-// Tuner owns the adaptive admission parameter: it aggregates reference
-// profiles, scores candidate thresholds against the recent trace with
-// shadow caches, and atomically publishes the winner. One Tuner serves one
-// live cache (all shards of it).
+// Tuner owns the adaptive admission parameter: it replays the live
+// reference stream through one shadow cache per candidate threshold,
+// scores the candidates by the cost savings they earn, and atomically
+// publishes the winner. One Tuner serves one live cache (all shards of
+// it).
 //
-// Each grid candidate owns a persistent shadow cache that is fed every
-// drained window in order, so shadows stay warm across rounds and a
-// candidate's cumulative statistics equal a brute-force replay of the full
-// recorded trace under that θ. A round's score is the cost savings the
-// shadow earned over the window just drained (cost-weighted marginal CSR),
-// smoothed across rounds with an EMA.
+// The Tuner is a core.EventSink: its embedded ghost.Feed passes every
+// reference outcome (rate 1) and every Invalidate to apply, which feeds
+// each shadow in stream order. Shadows persist across rounds, so a
+// candidate's cumulative statistics equal a brute-force replay of the
+// stream under that θ. The Window-th outcome of a window closes a round
+// inline: each shadow's cost savings over the window (cost-weighted
+// marginal CSR) is folded into a cross-round EMA, and the best candidate
+// is published if it clears the hysteresis margin.
 type Tuner struct {
+	*ghost.Feed
+
 	cfg Config
 	th  *Threshold
 
-	recorded atomic.Int64 // references recorded since the last drain
-	tuning   atomic.Bool  // gate: at most one async round in flight
-
-	mu       sync.Mutex // guards profiles, arms, rounds, seq
-	profiles []*Profile
-	arms     []*shadowArm // one per grid candidate, same order
-	rounds   []Round      // most recent first
-	seq      int64
-
-	// pendMu guards pendingInval. Invalidate takes only this small lock
-	// (never mu), so a coherence event arriving mid-round is queued in
-	// O(1) instead of blocking behind the shadow replays.
-	pendMu       sync.Mutex
-	pendingInval []string
+	mu     sync.Mutex   // guards arms, window, rounds, seq
+	arms   []*shadowArm // one per grid candidate, same order
+	window []Sample     // the current window's outcomes, in stream order
+	rounds []Round      // most recent first
+	seq    int64
 }
 
 // shadowArm is one candidate threshold's persistent shadow cache plus its
@@ -155,8 +149,8 @@ func New(cfg Config) (*Tuner, error) {
 		cfg.Window = DefaultWindow
 	}
 	if cfg.Window < minRoundSamples {
-		// A window this small would drain and then be discarded by every
-		// TuneOnce, pinning θ at 1 forever with no error anywhere.
+		// A window this small carries no tuning signal: every round would
+		// publish θ from noise.
 		return nil, fmt.Errorf("admission: window %d below the %d-sample minimum", cfg.Window, minRoundSamples)
 	}
 	if cfg.Grid == nil {
@@ -174,14 +168,12 @@ func New(cfg Config) (*Tuner, error) {
 	if !hasOne {
 		return nil, fmt.Errorf("admission: grid must contain the initial threshold 1")
 	}
-	t := &Tuner{cfg: cfg, th: NewThreshold(1)}
+	t := &Tuner{cfg: cfg, th: NewThreshold(1), window: make([]Sample, 0, cfg.Window)}
+	t.Feed = ghost.NewFeed(1, t.apply)
 	for _, theta := range cfg.Grid {
-		shadow, err := core.New(core.Config{
-			Capacity: cfg.Capacity,
-			K:        cfg.K,
-			Policy:   core.LNCRA,
-			Admitter: NewStaticAdmitter(theta),
-		})
+		scfg := core.Config{K: cfg.K}.Ghost(cfg.Capacity, core.LNCRA)
+		scfg.Admitter = NewStaticAdmitter(theta)
+		shadow, err := core.New(scfg)
 		if err != nil {
 			return nil, fmt.Errorf("admission: shadow cache for θ=%g: %w", theta, err)
 		}
@@ -220,7 +212,7 @@ type ArmScore struct {
 	Seeded bool `json:"seeded"`
 	// TotalCSR is the shadow cache's cumulative cost savings ratio over
 	// every sample replayed since the tuner was created — a brute-force
-	// replay of the recorded trace under Theta.
+	// replay of the stream under Theta.
 	TotalCSR float64 `json:"total_csr"`
 	// References is the number of samples the shadow has replayed.
 	References int64 `json:"references"`
@@ -246,58 +238,40 @@ func (t *Tuner) ArmScores() []ArmScore {
 	return out
 }
 
-// NewProfile registers and returns a new reference profile. Each producer
-// (shard, or the simulator's single replay loop) owns one profile and
-// records every reference it serves into it.
-func (t *Tuner) NewProfile() *Profile {
-	p := &Profile{t: t, samples: make([]Sample, 0, t.cfg.Window)}
+// apply is the feed's consumer: it replays one Op into every shadow, in
+// stream order. Restores are skipped: the shadows restart cold (state.go).
+func (t *Tuner) apply(o ghost.Op) {
 	t.mu.Lock()
-	t.profiles = append(t.profiles, p)
-	t.mu.Unlock()
-	return p
-}
-
-// noteRecorded counts one recorded reference and reports whether a full
-// window is pending. The comparison is >=, not ==: if a trigger is
-// swallowed because a round is already in flight, the counter passes the
-// window size and every later reference keeps reporting the backlog until
-// a drain resets it — an exact comparison would fire once, miss, and
-// never tune again.
-func (t *Tuner) noteRecorded() bool {
-	return t.recorded.Add(1) >= int64(t.cfg.Window)
-}
-
-// snapshot drains every profile and returns the merged window in time
-// order.
-func (t *Tuner) snapshot() []Sample {
-	t.mu.Lock()
-	profiles := make([]*Profile, len(t.profiles))
-	copy(profiles, t.profiles)
-	t.mu.Unlock()
-	var all []Sample
-	for _, p := range profiles {
-		all = append(all, p.drain()...)
+	defer t.mu.Unlock()
+	switch o.Kind {
+	case ghost.OpRef:
+		t.observe(Sample{ID: o.ID, Sig: o.Sig, Size: o.Size, Cost: o.Cost, Time: o.Time, Relations: o.Relations})
+	case ghost.OpInvalidate:
+		// Coherence reaches the shadows where it sits in the stream, so
+		// no score credits a hit on a set the live cache had dropped.
+		for _, a := range t.arms {
+			a.cache.Invalidate(o.Relations...)
+		}
+	case ghost.OpRestore:
 	}
-	t.recorded.Store(0)
-	// Stable sort: samples from one profile stay in arrival order when
-	// logical timestamps tie across profiles.
-	sort.SliceStable(all, func(i, j int) bool { return all[i].Time < all[j].Time })
-	return all
 }
 
-// feed replays one window through a shadow arm and returns the windowed
-// cost savings ratio it earned over exactly those samples.
-func (a *shadowArm) feed(samples []Sample) float64 {
-	for i := range samples {
-		s := &samples[i]
-		a.cache.ReferenceCanonical(core.Request{
-			QueryID:   s.ID,
-			Time:      s.Time,
-			Size:      s.Size,
-			Cost:      s.Cost,
-			Relations: s.Relations,
-		}, s.Sig)
+// observe replays one sample into every shadow and closes the round when
+// the window fills. Callers hold t.mu.
+func (t *Tuner) observe(s Sample) {
+	req := core.Request{QueryID: s.ID, Time: s.Time, Size: s.Size, Cost: s.Cost, Relations: s.Relations}
+	for _, a := range t.arms {
+		a.cache.ReferenceCanonical(req, s.Sig)
 	}
+	t.window = append(t.window, s)
+	if len(t.window) >= t.cfg.Window {
+		t.round()
+	}
+}
+
+// windowCSR returns the cost savings ratio the arm earned since the
+// previous round.
+func (a *shadowArm) windowCSR() float64 {
 	st := a.cache.Stats()
 	dSaved, dTotal := st.CostSaved-a.lastSaved, st.CostTotal-a.lastTotal
 	a.lastSaved, a.lastTotal = st.CostSaved, st.CostTotal
@@ -307,34 +281,33 @@ func (a *shadowArm) feed(samples []Sample) float64 {
 	return dSaved / dTotal
 }
 
-// TuneOnce runs one tuning round synchronously: drain the profiles, feed
-// the window through every candidate's persistent shadow cache, fold each
-// windowed cost-savings score into the cross-round EMAs, and publish the
-// best candidate if it beats the incumbent by at least epsilon. It returns
-// the round summary; ok is false when the window held too few samples to
-// score.
-//
-// TuneOnce is safe for concurrent use with Record and with the published
-// admitter; the simulator calls it inline for determinism, the serving
-// layer from the TriggerAsync goroutine.
+// TuneOnce closes the current window early: it drains the feed, then
+// scores the outcomes seen since the last round exactly as a full window
+// would be. ok is false, and the window stays open, when it holds too few
+// outcomes to score.
 func (t *Tuner) TuneOnce() (round Round, ok bool) {
-	samples := t.snapshot()
-	if len(samples) < minRoundSamples {
-		return Round{}, false
-	}
-	unique := make(map[string]struct{}, len(samples))
-	for i := range samples {
-		unique[samples[i].ID] = struct{}{}
-	}
-
+	t.Drain()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.applyPendingInvalidations()
+	if len(t.window) < minRoundSamples {
+		return Round{}, false
+	}
+	return t.round(), true
+}
+
+// round scores the window: fold each shadow's windowed cost savings into
+// its EMA, and publish the best candidate if it beats the incumbent by at
+// least epsilon. Callers hold t.mu.
+func (t *Tuner) round() Round {
+	unique := make(map[string]struct{}, len(t.window))
+	for i := range t.window {
+		unique[t.window[i].ID] = struct{}{}
+	}
 	current := t.th.Load()
 	currentIdx, bestIdx := -1, -1
 	windowCSR := make([]float64, len(t.arms))
 	for i, a := range t.arms {
-		csr := a.feed(samples)
+		csr := a.windowCSR()
 		windowCSR[i] = csr
 		if a.seeded {
 			a.score = alpha*csr + (1-alpha)*a.score
@@ -361,9 +334,9 @@ func (t *Tuner) TuneOnce() (round Round, ok bool) {
 	}
 
 	t.seq++
-	round = Round{
+	round := Round{
 		Seq:      t.seq,
-		Samples:  len(samples),
+		Samples:  len(t.window),
 		Unique:   len(unique),
 		Theta:    next,
 		Switched: switched,
@@ -381,55 +354,8 @@ func (t *Tuner) TuneOnce() (round Round, ok bool) {
 	if len(t.rounds) > history {
 		t.rounds = t.rounds[:history]
 	}
-	return round, true
-}
-
-// TriggerAsync starts a tuning round in a background goroutine unless one
-// is already in flight. The serving layer calls it when Record reports a
-// full window, keeping shadow replays off the request path. The goroutine
-// keeps running rounds while a full window is already pending, so traffic
-// that filled a window during a long round does not have to wait for the
-// next one to fill before being scored.
-func (t *Tuner) TriggerAsync() {
-	if !t.tuning.CompareAndSwap(false, true) {
-		return
-	}
-	go func() {
-		defer t.tuning.Store(false)
-		for {
-			t.TuneOnce()
-			if t.recorded.Load() < int64(t.cfg.Window) {
-				return
-			}
-		}
-	}()
-}
-
-// Invalidate propagates a coherence event to every candidate's shadow
-// cache, so scores cannot credit hits on sets the live cache dropped. The
-// sharded layer forwards its Invalidate calls here. The event is queued
-// and applied at the next round boundary — an ordering skew bounded by
-// one window, the same tolerance the profile buffering already has — so
-// the caller never blocks behind an in-progress shadow replay.
-func (t *Tuner) Invalidate(relations ...string) {
-	t.pendMu.Lock()
-	t.pendingInval = append(t.pendingInval, relations...)
-	t.pendMu.Unlock()
-}
-
-// applyPendingInvalidations drains the queued coherence events into every
-// shadow arm. Called with t.mu held, before a round feeds its window.
-func (t *Tuner) applyPendingInvalidations() {
-	t.pendMu.Lock()
-	pending := t.pendingInval
-	t.pendingInval = nil
-	t.pendMu.Unlock()
-	if len(pending) == 0 {
-		return
-	}
-	for _, a := range t.arms {
-		a.cache.Invalidate(pending...)
-	}
+	t.window = t.window[:0]
+	return round
 }
 
 // Rounds returns the retained tuning history, most recent first.

@@ -401,22 +401,21 @@ func resident(e *Entry) (*Entry, bool) {
 func (c *Cache) Reference(req Request) (hit bool, payload any) {
 	var buf [256]byte
 	id, sig := Canonical(buf[:0], req.QueryID)
-	hit, payload, _ = c.ReferenceBytes(req, id, sig)
-	return hit, payload
+	return c.ReferenceBytes(req, id, sig)
 }
 
 // ReferenceBytes is Reference for callers that hold Canonical's output:
 // the sharded front canonicalizes and hashes once, into a buffer on its
 // stack, to route the request, and the serialized path under the shard
 // lock probes the index with those bytes. id is only read during the call
-// and never retained. The returned canonical string is the entry's own ID
-// when the probe found a record (a hit, or a miss on a retained one); a
+// and never retained: past the probe the set is named by the entry's own
+// ID when the probe found a record (a hit, or a miss on a retained one); a
 // first-sight miss materializes it — reusing req.QueryID when that was
 // already canonical — which is the only point on the reference path where
 // the ID reaches the heap.
 //
 //watchman:accounted
-func (c *Cache) ReferenceBytes(req Request, id []byte, sig uint64) (hit bool, payload any, canonical string) {
+func (c *Cache) ReferenceBytes(req Request, id []byte, sig uint64) (hit bool, payload any) {
 	now := c.begin(&req)
 	e := probe(c, id, sig)
 	c.spanStage(StageLookup)
@@ -425,8 +424,7 @@ func (c *Cache) ReferenceBytes(req Request, id []byte, sig uint64) (hit bool, pa
 	} else {
 		req.QueryID = CanonicalString(id, req.QueryID)
 	}
-	hit, payload = c.resolve(e, &req, sig, now, true)
-	return hit, payload, req.QueryID
+	return c.resolve(e, &req, sig, now, true)
 }
 
 // ReferenceCanonical is Reference for callers that already hold the

@@ -154,7 +154,9 @@ func (ev Event) Sig() uint64 {
 // EventSink observes lifecycle events. Implementations run under the
 // cache's execution context (single-threaded, or with the owning shard's
 // mutex held), must not call back into the cache, and must be cheap: the
-// hit path emits an event per reference.
+// hit path emits an event per reference. A sink may retain an event's
+// Relations slice, read-only: the cache keeps request relation slices in
+// its entries as they are and never writes to them.
 type EventSink interface {
 	Emit(Event)
 }

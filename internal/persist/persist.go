@@ -2,8 +2,8 @@
 // a versioned binary codec that captures the full learned state of a
 // cache — resident entries with their payloads, retained reference
 // histories and λ-estimator context from internal/core, and the adaptive
-// admission tuner's published θ plus its buffered shadow-profile windows
-// from internal/admission — so a restarted server resumes serving warm
+// admission tuner's published θ plus the outcomes of its open window from
+// internal/admission — so a restarted server resumes serving warm
 // instead of rebuilding its reference history from zero ("don't trash
 // your intermediate results").
 //

@@ -71,7 +71,7 @@ func TestAdmissionEndpointEnabled(t *testing.T) {
 	if len(resp.Rounds) == 0 {
 		t.Error("tuning history empty after a completed round")
 	}
-	// After a tuning round every shadow arm has replayed the profile
+	// After a tuning round every shadow arm has replayed the
 	// window, so the per-arm scores must show traffic.
 	for _, arm := range resp.Arms {
 		if arm.References == 0 {

@@ -2,11 +2,14 @@ package shard
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/admission"
 	"repro/internal/core"
+	"repro/internal/whatif"
 )
 
 // newAdaptiveSharded builds a small sharded cache with adaptive admission
@@ -26,6 +29,7 @@ func newAdaptiveSharded(t *testing.T, window int) *Sharded {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(s.Close)
 	return s
 }
 
@@ -57,15 +61,15 @@ func TestAdaptiveConcurrentPublishRead(t *testing.T) {
 				rels := []string{fmt.Sprintf("rel%d", i%5)}
 				s.Reference(Request{QueryID: q, Size: int64(512 + i%4096), Cost: float64(100 + i%900), Relations: rels})
 				if i%500 == 250 {
-					// Coherence events race the tuning rounds and the
-					// shadow-invalidation queue.
+					// Coherence events race the tuning rounds on the
+					// tuner's feed.
 					s.Invalidate(rels...)
 				}
 			}
 		}(w)
 	}
 	// Concurrent parameter readers and an extra synchronous tuning driver,
-	// racing against the TriggerAsync rounds the traffic fires.
+	// racing against the rounds the traffic closes on the feed's worker.
 	var rg sync.WaitGroup
 	stop := make(chan struct{})
 	rg.Add(2)
@@ -117,11 +121,11 @@ func TestShardedTunerNilByDefault(t *testing.T) {
 }
 
 // TestAdaptiveLoadPathRecords drives the Load path (hits, coalesced
-// followers and leader misses) and checks references land in the tuner's
-// profiles so serving traffic can tune at all.
+// followers and leader misses) and checks references reach the tuner's
+// feed so serving traffic can tune at all.
 func TestAdaptiveLoadPathRecords(t *testing.T) {
-	// Window larger than the traffic: no async round fires, so the
-	// synchronous TuneOnce below drains every recorded reference and the
+	// Window larger than the traffic: no round closes on its own, so the
+	// TuneOnce below drains the feed and scores every reference, and the
 	// assertion is deterministic.
 	tuner, err := admission.New(admission.Config{Capacity: 1 << 18, K: 2, Window: 1024})
 	if err != nil {
@@ -138,6 +142,7 @@ func TestAdaptiveLoadPathRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(s.Close)
 	for i := 0; i < 40; i++ {
 		if _, _, err := s.Load(Request{QueryID: fmt.Sprintf("q%d", i%10)}); err != nil {
 			t.Fatal(err)
@@ -177,5 +182,101 @@ func TestInvalEpochPruned(t *testing.T) {
 	}
 	if s.shards[0].clearedAt != s.shards[0].epoch {
 		t.Errorf("clearedAt = %d, want the prune-time epoch %d", s.shards[0].clearedAt, s.shards[0].epoch)
+	}
+}
+
+// TestInvalidationReachesShadowsInStreamOrder pins that a coherence event
+// reaches the θ shadows where it sits in the reference stream. With one
+// shard and the tuner sized like the cache, the θ = 1 shadow is the live
+// cache's twin: X, Invalidate(r), then 19 more X is one miss, one miss
+// after the drop and 18 hits in both, CSR 0.9. An invalidation applied
+// after the references around it would let the shadow keep X and credit
+// a hit the live cache never had (0.95).
+func TestInvalidationReachesShadowsInStreamOrder(t *testing.T) {
+	const capacity = 1 << 16
+	tuner, err := admission.New(admission.Config{Capacity: capacity, K: 2, Window: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newSharded(t, Config{
+		Shards: 1,
+		Cache:  core.Config{Capacity: capacity, K: 2, Policy: core.LNCRA},
+		Tuner:  tuner,
+	})
+	x := Request{QueryID: "select x from r", Size: 100, Cost: 50, Relations: []string{"r"}}
+	s.Reference(x)
+	s.Invalidate("r")
+	for i := 0; i < 19; i++ {
+		s.Reference(x)
+	}
+	if _, ok := tuner.TuneOnce(); !ok {
+		t.Fatal("TuneOnce declined the 20-reference window")
+	}
+	live := s.Stats().CostSavingsRatio()
+	if live != 0.9 {
+		t.Fatalf("live CSR %v, want 0.9", live)
+	}
+	for _, arm := range tuner.ArmScores() {
+		if arm.Theta == 1 && arm.TotalCSR != live {
+			t.Errorf("θ=1 shadow CSR %v, live cache %v: the invalidation reached the shadow out of order",
+				arm.TotalCSR, live)
+		}
+	}
+}
+
+// TestCloseStopsFeeds pins that Close stops what New started: the tuner's
+// and the what-if matrix's feed workers exit, a second Close is harmless,
+// and the tuner still answers afterwards.
+func TestCloseStopsFeeds(t *testing.T) {
+	// goroutines waits, up to a second, for the count to reach want (or,
+	// with want < 0, to hold still for 10 ms: workers a previous test
+	// closed may still be on their way out) and returns it.
+	goroutines := func(want int) int {
+		n, still := runtime.NumGoroutine(), 0
+		for deadline := time.Now().Add(time.Second); n != want && still < 10 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+			if m := runtime.NumGoroutine(); m == n {
+				still++
+			} else {
+				n, still = m, 0
+			}
+		}
+		return n
+	}
+	cfg := core.Config{Capacity: 1 << 18, K: 2, Policy: core.LNCRA}
+	tuner, err := admission.New(admission.Config{Capacity: cfg.Capacity, K: 2, Window: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ghosts, err := whatif.New(whatif.Config{Base: cfg, SampleRate: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := goroutines(-1)
+	s, err := New(Config{Shards: 2, Cache: cfg, Tuner: tuner, WhatIf: ghosts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := goroutines(base + 2); got != base+2 {
+		t.Errorf("%d goroutines with both observers attached, want %d (one feed worker each)", got, base+2)
+	}
+	for i := 0; i < 100; i++ {
+		s.Reference(Request{QueryID: fmt.Sprintf("q%d", i%10), Size: 256, Cost: 100})
+	}
+	s.Close()
+	if got := goroutines(base); got != base {
+		t.Errorf("%d goroutines after Close, want the baseline %d", got, base)
+	}
+	s.Close()
+
+	round, ok := tuner.TuneOnce()
+	if !ok || round.Samples != 100 {
+		t.Errorf("TuneOnce after Close = %+v, %v; want the 100 references queued before it", round, ok)
+	}
+	if th := tuner.Threshold(); th <= 0 {
+		t.Errorf("threshold %g after Close", th)
+	}
+	if arms := tuner.ArmScores(); len(arms) != len(admission.DefaultGrid()) || arms[0].References != 100 {
+		t.Errorf("arms after Close = %+v", arms)
 	}
 }

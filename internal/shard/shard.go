@@ -78,10 +78,11 @@ type Config struct {
 	Registry *telemetry.Registry
 	// Tuner, if non-nil, enables adaptive admission: every shard's cache
 	// is gated by the tuner's published threshold (overriding
-	// Cache.Admitter), every reference is recorded into a per-shard
-	// profile, and a background tuning round runs whenever the window
-	// fills. The hot-path threshold read is a single atomic load; shadow
-	// replays run off the request path.
+	// Cache.Admitter) and fans its lifecycle events into the tuner, whose
+	// feed worker (started here, stopped by Close) replays them through
+	// the θ shadows and runs a tuning round whenever the window fills.
+	// The hot-path threshold read is a single atomic load; shadow replays
+	// run off the request path.
 	Tuner *admission.Tuner
 	// Recorder, if non-nil, enables the flight recorder: every shard's
 	// cache gets a per-shard span tracer and decision sink writing into
@@ -93,7 +94,8 @@ type Config struct {
 	// lifecycle events fan into it (sampled references feed the
 	// counterfactual grid), Invalidate forwards coherence to the ghosts
 	// exactly as it does to the admission tuner's shadows, and Close
-	// stops the matrix worker after the queued slice is applied. The
+	// stops the matrix's feed worker, which New starts, after the queued
+	// slice is applied. The
 	// caller builds the matrix (whatif.New) from the same total-capacity
 	// Config passed here.
 	WhatIf *whatif.Matrix
@@ -161,22 +163,6 @@ type shard struct {
 	// may have been pruned), which keeps pruning safe: a false positive
 	// only skips caching one result, never serves a stale one.
 	clearedAt uint64
-	// profile receives every reference this shard serves when adaptive
-	// admission is enabled; nil otherwise. It has its own tiny mutex, so
-	// recording happens outside the shard lock.
-	profile *admission.Profile
-}
-
-// observe records one served reference into the shard's admission profile
-// (outside the shard lock) and triggers a background tuning round when the
-// window fills. It is a no-op without a tuner.
-func (sh *shard) observe(tuner *admission.Tuner, id string, sig uint64, size int64, cost, t float64, relations []string) {
-	if sh.profile == nil {
-		return
-	}
-	if sh.profile.Record(admission.Sample{ID: id, Sig: sig, Size: size, Cost: cost, Time: t, Relations: relations}) {
-		tuner.TriggerAsync()
-	}
 }
 
 // staleSince reports whether any of the given relations was invalidated
@@ -267,6 +253,7 @@ func New(cfg Config) (*Sharded, error) {
 		}
 		if s.tuner != nil {
 			scfg.Admitter = s.tuner.Admitter()
+			scfg.Sink = core.MultiSink(scfg.Sink, s.tuner)
 		}
 		if s.reg != nil {
 			// Fan this shard's lifecycle events into the shared registry,
@@ -294,9 +281,12 @@ func New(cfg Config) (*Sharded, error) {
 			inflight:   make(map[string]*flight),
 			invalEpoch: make(map[string]uint64),
 		}
-		if s.tuner != nil {
-			s.shards[i].profile = s.tuner.NewProfile()
-		}
+	}
+	if s.tuner != nil {
+		s.tuner.Start()
+	}
+	if s.whatif != nil {
+		s.whatif.Start()
 	}
 	return s, nil
 }
@@ -327,9 +317,8 @@ func (s *Sharded) Reference(req core.Request) (hit bool, payload any) {
 	req.Time = s.timestamp(req.Time)
 	sh := s.shardFor(sig)
 	sh.mu.Lock()
-	hit, payload, id := sh.cache.ReferenceBytes(req, key, sig)
+	hit, payload = sh.cache.ReferenceBytes(req, key, sig)
 	sh.mu.Unlock()
-	sh.observe(s.tuner, id, sig, req.Size, req.Cost, req.Time, req.Relations)
 	return hit, payload
 }
 
@@ -390,10 +379,8 @@ func (s *Sharded) Load(req core.Request) (payload any, hit bool, err error) {
 	if e, ok := sh.cache.LookupBytes(key, sig); ok {
 		// Resident: charge a hit against the entry we just found — no
 		// second index probe inside the critical section.
-		id, size, cost, rels := e.ID, e.Size, e.Cost, e.Relations
 		p := sh.cache.ReferenceEntry(e, req.Time, req.Class)
 		sh.mu.Unlock()
-		sh.observe(s.tuner, id, sig, size, cost, req.Time, rels)
 		return p, true, nil
 	}
 	// Not resident: the singleflight table and every request built below
@@ -436,7 +423,6 @@ func (s *Sharded) Load(req core.Request) (payload any, hit bool, err error) {
 			Relations: req.Relations, Payload: f.payload, Plan: req.Plan,
 		}, sig)
 		sh.mu.Unlock()
-		sh.observe(s.tuner, id, sig, f.size, f.cost, req.Time, req.Relations)
 		if refHit {
 			return p, true, nil
 		}
@@ -521,7 +507,6 @@ func (s *Sharded) Load(req core.Request) (payload any, hit bool, err error) {
 	if f.err != nil {
 		return nil, false, f.err
 	}
-	sh.observe(s.tuner, id, sig, f.size, f.cost, req.Time, req.Relations)
 	// A derived answer was served from cache content; report it as a hit
 	// so callers know no remote execution happened.
 	return f.payload, f.derivation != nil && !f.stale, nil
@@ -596,14 +581,13 @@ func (s *Sharded) Invalidate(relations ...string) int {
 		dropped += sh.cache.Invalidate(relations...)
 		sh.mu.Unlock()
 	}
+	// Keep the θ shadows and the ghosts coherent too, or their scores
+	// would credit hits on sets the live cache just dropped. Each feed
+	// carries the invalidation in stream order relative to references.
 	if s.tuner != nil {
-		// Keep the shadow caches coherent too, or candidate scores would
-		// credit hits on sets the live cache just dropped.
 		s.tuner.Invalidate(relations...)
 	}
 	if s.whatif != nil {
-		// Same coherence path as the tuner shadows: the ghosts drop the
-		// relations once, in stream order relative to sampled references.
 		s.whatif.Invalidate(relations...)
 	}
 	return dropped
@@ -670,11 +654,16 @@ func (s *Sharded) Capacity() int64 {
 	return n
 }
 
-// Close stops the what-if ghost matrix worker once the events already
-// queued have reached the ghosts. The cache stays usable — only the
-// matrix stops learning — so a graceful shutdown can Close before its
-// final snapshot flush. Idempotent, and a no-op without a matrix.
+// Close stops the feed workers New started — the admission tuner's and
+// the what-if matrix's — once the events already queued have reached the
+// θ shadows and the ghosts. The cache stays usable and the tuner keeps
+// its published θ and answers TuneOnce, Threshold and ArmScores; only the
+// observers stop learning, so a graceful shutdown can Close before its
+// final snapshot flush. Idempotent, and a no-op without either observer.
 func (s *Sharded) Close() {
+	if s.tuner != nil {
+		s.tuner.Close()
+	}
 	if s.whatif != nil {
 		s.whatif.Close()
 	}

@@ -33,6 +33,7 @@ func newSharded(t *testing.T, cfg Config) *Sharded {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(s.Close)
 	return s
 }
 

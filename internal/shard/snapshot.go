@@ -55,11 +55,15 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // The returned SnapshotInfo has no Path: that belongs to the
 // Snapshotter's file lifecycle.
 func (s *Sharded) StreamSnapshot(w io.Writer) (SnapshotInfo, error) {
+	// Quiesce both feeds relative to the capture point: events emitted
+	// before this call reach the θ shadows and the ghosts before shards
+	// are read, so the admission section (θ, scores, the window in
+	// progress) and a what-if report taken around a snapshot bracket the
+	// same stream prefix the image does.
+	if s.tuner != nil {
+		s.tuner.Drain()
+	}
 	if s.whatif != nil {
-		// Quiesce the ghost matrix relative to the capture point: events
-		// emitted before this call are applied before shards are read, so
-		// a what-if report taken around a snapshot brackets the same
-		// stream prefix the image does.
 		s.whatif.Drain()
 	}
 	start := clock.Now()

@@ -18,12 +18,13 @@ type AdaptiveResult struct {
 	Switches int
 }
 
-// ReplayAdaptive feeds the trace through a cache whose admission is gated
-// by a shadow-tuned threshold: every reference is recorded into the
-// tuner's profile and a synchronous tuning round runs each time the window
-// fills, so the replay is fully deterministic. cfg.Policy is forced to
-// LNCRA (the tunable rule generalizes LNC-A); tcfg.Capacity and tcfg.K
-// default to the live cache's when zero.
+// ReplayAdaptive replays the trace through a cache whose admission is
+// gated by a shadow-tuned threshold. The tuner is the cache's event sink
+// with its feed left inline, so every outcome reaches the shadows, and
+// every round runs, inside the reference that completes it: the replay is
+// fully deterministic. cfg.Policy is forced to LNCRA (the tunable rule
+// generalizes LNC-A); tcfg.Capacity and tcfg.K default to the live
+// cache's when zero.
 func ReplayAdaptive(tr *trace.Trace, cfg core.Config, tcfg admission.Config) (AdaptiveResult, *admission.Tuner, error) {
 	cfg.Policy = core.LNCRA
 	if tcfg.Capacity == 0 {
@@ -37,40 +38,22 @@ func ReplayAdaptive(tr *trace.Trace, cfg core.Config, tcfg admission.Config) (Ad
 		return AdaptiveResult{}, nil, err
 	}
 	cfg.Admitter = tuner.Admitter()
-	c, err := core.New(cfg)
+	// Rounds run inside the tuner's Emit, so a sink after it sees every
+	// switch as a change of θ.
+	switches, theta := 0, tuner.Threshold()
+	cfg.Sink = core.MultiSink(cfg.Sink, tuner, core.EventSinkFunc(func(core.Event) {
+		if th := tuner.Threshold(); th != theta {
+			switches, theta = switches+1, th
+		}
+	}))
+	res, _, err := Replay(tr, cfg)
 	if err != nil {
 		return AdaptiveResult{}, nil, err
 	}
-	profile := tuner.NewProfile()
-	rounds, switches := 0, 0
-	for i := range tr.Records {
-		rec := &tr.Records[i]
-		// The sharded front's sequence: canonicalize and hash once, then
-		// hand the profile the canonical string the core call returns.
-		var buf [256]byte
-		key, sig := core.Canonical(buf[:0], rec.QueryID)
-		_, _, id := c.ReferenceBytes(Request(rec), key, sig)
-		if profile.Record(admission.Sample{
-			ID: id, Sig: sig, Size: rec.Size, Cost: rec.Cost, Time: rec.Time,
-			Relations: rec.Relations,
-		}) {
-			if round, ok := tuner.TuneOnce(); ok {
-				rounds++
-				if round.Switched {
-					switches++
-				}
-			}
-		}
+	res.Policy = "LNC-RA adaptive"
+	out := AdaptiveResult{Result: res, FinalThreshold: tuner.Threshold(), Switches: switches}
+	if rounds := tuner.Rounds(); len(rounds) > 0 {
+		out.Rounds = int(rounds[0].Seq)
 	}
-	return AdaptiveResult{
-		Result: Result{
-			Policy:     "LNC-RA adaptive",
-			K:          cfg.K,
-			CacheBytes: cfg.Capacity,
-			Stats:      c.Stats(),
-		},
-		FinalThreshold: tuner.Threshold(),
-		Rounds:         rounds,
-		Switches:       switches,
-	}, tuner, nil
+	return out, tuner, nil
 }

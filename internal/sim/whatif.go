@@ -9,27 +9,23 @@ import (
 // ReplayWhatIf replays a trace through one real cache with a ghost-cache
 // matrix attached to its event stream, exactly as `serve -whatif` attaches
 // one to the live sharded cache, and returns the real replay's Result
-// alongside the matrix's final report. The matrix runs in blocking mode —
-// a full ghost FIFO applies backpressure to the (offline) replay instead
-// of shedding — so the report reflects every sampled reference, which is
-// what lets tests validate the sampled estimates against brute-force full
-// replays.
+// alongside the matrix's final report. The matrix's feed stays inline, so
+// every sampled reference reaches the ghosts inside the reference that
+// produced it and nothing is shed — which is what lets tests validate the
+// sampled estimates against brute-force full replays.
 //
 // wcfg.Base is overwritten with cfg: the ghosts counterfactual the exact
 // configuration being replayed.
 func ReplayWhatIf(tr *trace.Trace, cfg core.Config, wcfg whatif.Config) (Result, whatif.Report, error) {
 	wcfg.Base = cfg
-	wcfg.Blocking = true
 	m, err := whatif.New(wcfg)
 	if err != nil {
 		return Result{}, whatif.Report{}, err
 	}
-	defer m.Close()
 	cfg.Sink = core.MultiSink(cfg.Sink, m)
 	res, _, err := Replay(tr, cfg)
 	if err != nil {
 		return Result{}, whatif.Report{}, err
 	}
-	rep := m.Report(0)
-	return res, rep, nil
+	return res, m.Report(0), nil
 }

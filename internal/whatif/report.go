@@ -83,15 +83,11 @@ func (m *Matrix) Report(margin float64) Report {
 	}
 	m.Drain()
 
+	rep := Report{SampleRate: m.cfg.SampleRate}
+	rep.RefsSeen, rep.RefsSampled, rep.RefsShed = m.Counts()
 	m.mu.Lock()
 	cells := m.sortedCells()
-	rep := Report{
-		SampleRate:  m.cfg.SampleRate,
-		RefsSeen:    m.refsSeen.load(),
-		RefsSampled: m.refsSampled.Load(),
-		RefsShed:    m.refsShed.Load(),
-		Cells:       make([]CellReport, 0, len(cells)),
-	}
+	rep.Cells = make([]CellReport, 0, len(cells))
 	for _, c := range cells {
 		rep.Cells = append(rep.Cells, c.report())
 	}
@@ -214,7 +210,7 @@ func (m *Matrix) WritePrometheusTo(w io.Writer) {
 	for _, r := range rows {
 		fmt.Fprintf(w, "watchman_whatif_csr{capacity=%q,policy=%q} %g\n", r.capacity, r.policy, r.csr)
 	}
-	seen, sampled := m.refsSeen.load(), m.refsSampled.Load()
+	seen, sampled, _ := m.Counts()
 	fmt.Fprintf(w, "# HELP watchman_whatif_refs_total Reference outcomes observed by the what-if matrix.\n# TYPE watchman_whatif_refs_total counter\nwatchman_whatif_refs_total %d\n", seen)
 	ratio := 0.0
 	if seen > 0 {

@@ -17,7 +17,6 @@ func TestNewValidation(t *testing.T) {
 		{Base: baseConfig(), SampleRate: -1},
 		{Base: core.Config{Capacity: core.Unlimited, K: 2, Policy: core.LNCRA}},
 		{Base: baseConfig(), Scales: []float64{0}},
-		{Base: baseConfig(), Buffer: -1},
 		{Base: baseConfig(), Baseline: "fifo"},
 		// 0.25 × 4096 / 8192 rounds to zero ghost bytes.
 		{Base: baseConfig(), SampleRate: 8192},
@@ -27,32 +26,6 @@ func TestNewValidation(t *testing.T) {
 			m.Close()
 			t.Errorf("case %d: New(%+v) must error", i, cfg)
 		}
-	}
-}
-
-// TestSamplingPartition pins the sampling filter: deterministic per
-// signature, everything at rate 1, and roughly 1/R of a hash-spread
-// population at rate R.
-func TestSamplingPartition(t *testing.T) {
-	m1 := &Matrix{rate: 1}
-	m8 := &Matrix{rate: 8}
-	sampled := 0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		sig := core.Signature(fmt.Sprintf("query-%d", i))
-		if !m1.sampled(sig) {
-			t.Fatal("rate 1 must sample everything")
-		}
-		if m8.sampled(sig) != m8.sampled(sig) {
-			t.Fatal("sampling must be deterministic")
-		}
-		if m8.sampled(sig) {
-			sampled++
-		}
-	}
-	got := float64(sampled) / n
-	if got < 0.10 || got > 0.15 {
-		t.Errorf("rate 8 sampled fraction %.4f, want ≈0.125", got)
 	}
 }
 
@@ -71,7 +44,6 @@ func TestMatrixEndToEnd(t *testing.T) {
 		SampleRate: 1,
 		Scales:     []float64{0.5, 1},
 		Policies:   []Policy{lru, lnc},
-		Blocking:   true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +120,6 @@ func TestRestoreWarmsGhosts(t *testing.T) {
 		SampleRate: 1,
 		Scales:     []float64{1},
 		Policies:   []Policy{{Name: "lru", Kind: core.LRU}},
-		Blocking:   true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +141,6 @@ func TestAdaptiveCellCarriesTheta(t *testing.T) {
 		SampleRate: 1,
 		Scales:     []float64{1},
 		Policies:   []Policy{{Name: "lnc-ra-adaptive", Kind: core.LNCRA, Adaptive: true}},
-		Blocking:   true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +213,6 @@ func TestWritePrometheus(t *testing.T) {
 		SampleRate: 1,
 		Scales:     []float64{0.25, 1},
 		Policies:   []Policy{{Name: "lru", Kind: core.LRU}},
-		Blocking:   true,
 	})
 	if err != nil {
 		t.Fatal(err)
