@@ -240,21 +240,49 @@ func TestShadowsHonorInvalidation(t *testing.T) {
 	}
 }
 
-// TestRoundClosesEveryWindow pins the round cadence: the Window-th
-// outcome of each window closes a round of exactly Window samples, and
-// the outcomes after the last round stay in the window, in stream order,
-// for TuneOnce and ExportState.
-func TestRoundClosesEveryWindow(t *testing.T) {
+// TestRecordReportsBacklogPastWindow pins the round cadence: recording the
+// Window-th outcome of each window closes a round of exactly Window samples
+// inline, so no backlog builds up past a window, and the first outcome
+// after a round cannot close another.
+func TestRecordReportsBacklogPastWindow(t *testing.T) {
+	tu, err := New(Config{Capacity: 1 << 20, Window: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 48; i++ {
+		emit(tu, sampleFor(fmt.Sprintf("q%d", i), 100, 10, float64(i+1)))
+		if got, want := len(tu.Rounds()), (i+1)/16; got != want {
+			t.Fatalf("after %d outcomes: %d rounds, want %d", i+1, got, want)
+		}
+	}
+	for i, r := range tu.Rounds() {
+		if r.Samples != 16 {
+			t.Errorf("round %d scored %d samples, want the window size 16", i+1, r.Samples)
+		}
+	}
+	if _, ok := tu.TuneOnce(); ok {
+		t.Error("TuneOnce scored the empty window left by the last round")
+	}
+	emit(tu, sampleFor("fresh", 100, 10, 49))
+	if got := len(tu.Rounds()); got != 3 {
+		t.Errorf("first outcome after a round left %d rounds, want 3", got)
+	}
+}
+
+// TestProfileRingOverflow pins the bounded open window: it never holds more
+// than Window samples, it keeps the outcomes after the last round in
+// stream order for TuneOnce and ExportState, a window below the minimum
+// stays open, and the round that fills it empties it.
+func TestProfileRingOverflow(t *testing.T) {
 	tu, err := New(Config{Capacity: 1 << 20, Window: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 40; i++ {
 		emit(tu, sampleFor(fmt.Sprintf("q%d", i), 100, 10, float64(i+1)))
-	}
-	rounds := tu.Rounds()
-	if len(rounds) != 2 || rounds[0].Samples != 16 || rounds[1].Samples != 16 {
-		t.Fatalf("rounds = %+v, want two rounds of 16 samples", rounds)
+		if n := len(tu.ExportState().Samples); n >= 16 {
+			t.Fatalf("after %d outcomes the window holds %d samples, want fewer than 16", i+1, n)
+		}
 	}
 	open := tu.ExportState().Samples
 	if len(open) != 8 {
@@ -267,6 +295,15 @@ func TestRoundClosesEveryWindow(t *testing.T) {
 	}
 	if _, ok := tu.TuneOnce(); ok {
 		t.Error("TuneOnce scored the 8-sample window below the minimum")
+	}
+	if n := len(tu.ExportState().Samples); n != 8 {
+		t.Errorf("an unscored TuneOnce left %d samples in the window, want 8", n)
+	}
+	for i := 40; i < 48; i++ {
+		emit(tu, sampleFor(fmt.Sprintf("q%d", i), 100, 10, float64(i+1)))
+	}
+	if n := len(tu.ExportState().Samples); n != 0 {
+		t.Errorf("the round that filled the window left %d samples, want 0", n)
 	}
 }
 
