@@ -43,7 +43,7 @@ func SetQueryTrace(scale float64, cfg WorkloadConfig) (*Trace, error) {
 // MulticlassTrace generates the three-class TPC-D extension workload with
 // bursty per-class activity (§6 of the paper).
 func MulticlassTrace(scale float64, cfg WorkloadConfig) (*Trace, error) {
-	_, tr, err := workload.GenerateMulticlass(scale, workload.MulticlassConfig{Config: cfg})
+	_, tr, err := workload.GenerateMulticlass(scale, cfg)
 	return tr, err
 }
 

@@ -228,7 +228,8 @@ func clipID(id string, max int) string {
 }
 
 // compareWhatIf runs one real LNC-RA replay with the ghost matrix riding
-// its event stream (blocking mode, so nothing is shed) and renders the
+// its event stream (its feed is never started, so every sampled reference
+// reaches the ghosts inside Emit and nothing is shed) and renders the
 // estimated CSR of every (capacity, policy) cell, the sampling coverage
 // and the advisor verdict — the offline validation harness for the same
 // matrix `serve -whatif` runs live.
@@ -339,7 +340,7 @@ func compareOne(tr *trace.Trace, name string, capacity int64, k, window int, exp
 				name, tr.Name)
 		}
 		cfg.Policy = core.LNCRA
-		cfg.Deriver = derive.New(derive.Config{})
+		cfg.Deriver = derive.New()
 		suffix = "+derive"
 	default:
 		pk, err := core.ParsePolicy(name)

@@ -105,7 +105,7 @@ func generateTrace(benchmark string, queries int, seed int64, scale float64) (*t
 		_, tr, err := workload.StandardSetQuery(scale, cfg)
 		return tr, err
 	case "multiclass":
-		_, tr, err := workload.GenerateMulticlass(scale, workload.MulticlassConfig{Config: cfg})
+		_, tr, err := workload.GenerateMulticlass(scale, cfg)
 		return tr, err
 	case "drilldown":
 		_, tr, err := workload.StandardDrilldown(scale, cfg)

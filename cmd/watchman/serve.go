@@ -139,7 +139,7 @@ func cmdServe(args []string) error {
 		// Server-side derivation is descriptor-driven: clients report
 		// sizes and costs, so no engine is needed for estimation, and
 		// payload rewriting happens only for in-process engine results.
-		deriver = derive.New(derive.Config{})
+		deriver = derive.New()
 	}
 	var rec *flight.Recorder
 	if *debugOn {

@@ -12,9 +12,9 @@ package analysis
 //
 // What counts as accounting: a call whose bare name is "Account", any
 // name beginning with "Reference" or "reference" (ReferenceCanonical,
-// ReferenceEntry, ReferenceExecuted, ReferenceDerived, core's internal
-// reference), and any same-package function annotated
-// //watchman:accounting (shard's accountExternal). The path analysis is
+// ReferenceEntry, ReferenceExecuted, core's internal reference), and any
+// same-package function annotated //watchman:accounting (shard's
+// accountExternal). The path analysis is
 // structural: an if/else (or a switch/select with a default) guarantees
 // accounting only when every branch does; loop bodies guarantee nothing
 // (they may run zero times); a deferred accounting call covers every

@@ -193,10 +193,9 @@ type Request struct {
 	// cache; the derivation subsystem reads it). It is stored on the
 	// admitted entry so cached content stays matchable.
 	Plan any
-	// ExecNanos optionally attributes wall nanoseconds spent executing or
-	// deriving the query outside the cache (the concurrent front times its
-	// loader and derivation calls outside the shard lock) to the
-	// reference's flight-recorder span. Zero when untimed or untraced; it
+	// ExecNanos optionally attributes wall nanoseconds spent executing the
+	// query outside the cache (the concurrent front times its loader calls
+	// outside the shard lock) to the reference's flight-recorder span. Zero when untimed or untraced; it
 	// has no effect on caching decisions.
 	ExecNanos int64
 }

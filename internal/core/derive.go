@@ -23,10 +23,6 @@ type Derivation struct {
 	// Cost is the derivation cost in logical block reads. It must be
 	// strictly below the remote cost for the derivation to count.
 	Cost float64
-	// Remote is the remote-cost basis the deriver compared against: the
-	// request's cost when known, its own estimate otherwise (the
-	// concurrent Load path, where size and cost come from the loader).
-	Remote float64
 	// AncestorID is the compressed query ID of the cached entry the answer
 	// was derived from.
 	AncestorID string
@@ -35,11 +31,11 @@ type Derivation struct {
 // Deriver attempts to answer a missed request from currently cached
 // content. Derive runs under the cache's execution context (single-
 // threaded, or with the owning shard's mutex held) and must not call back
-// into the cache. When req.Cost > 0 it is the remote-cost basis the
-// derivation must beat; otherwise the deriver supplies its own estimate in
-// Derivation.Remote. A Deriver that also implements EventSink is attached
-// to the cache's event stream automatically, which is how the derive
-// package tracks what is currently cached.
+// into the cache. The cache consults it only for requests with a positive
+// Cost, the remote-cost basis the derivation must beat. A Deriver that
+// also implements EventSink is attached to the cache's event stream
+// automatically, which is how the derive package tracks what is currently
+// cached.
 type Deriver interface {
 	Derive(req Request) (Derivation, bool)
 }
@@ -97,34 +93,4 @@ func (c *Cache) deriveHit(e *Entry, id string, sig uint64, req Request, d Deriva
 	c.enforceRetainedBudget(now)
 	c.sampleFragmentation()
 	return d.Payload
-}
-
-// ReferenceDerived charges a reference that a concurrent front-end
-// answered by derivation outside the Reference path (shard.Load derives
-// inside its singleflight loader, off the shard lock, and commits the
-// outcome here). req.QueryID must be a CompressID result and sig its
-// Signature; req.Cost must carry the remote-cost basis (Derivation.Remote)
-// and req.Size the derived set's size. It returns the payload served.
-//
-//watchman:accounted
-func (c *Cache) ReferenceDerived(req Request, sig uint64, d Derivation) (payload any) {
-	now := c.tick(req.Time, req.Cost)
-	c.spanBegin(req.QueryID, req.Class, req.Size, req.Cost, now)
-	c.spanCharge(StageDerive, req.ExecNanos)
-	e := c.lookup(req.QueryID, sig)
-	c.spanStage(StageLookup)
-	if e != nil && e.resident {
-		// The set became resident while the derivation ran (a concurrent
-		// direct Reference admitted it — the singleflight table only
-		// fences Load callers): charge an ordinary hit. Re-running the
-		// insert machinery on a resident entry would double-charge
-		// capacity and the evictor.
-		c.chargeHit(e, req.Cost, req.Class, now)
-		c.spanEntry(e, now)
-		c.spanFinish(EventHit)
-		return e.Payload
-	}
-	payload = c.deriveHit(e, req.QueryID, sig, req, d, now)
-	c.spanFinish(EventHitDerived)
-	return payload
 }

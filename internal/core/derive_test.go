@@ -16,7 +16,7 @@ func (s *stubDeriver) Derive(req Request) (Derivation, bool) {
 	if p, ok := req.Plan.(string); !ok || p != "derivable" {
 		return Derivation{}, false
 	}
-	return Derivation{Cost: s.cost, Remote: req.Cost, AncestorID: s.ancestor}, true
+	return Derivation{Cost: s.cost, AncestorID: s.ancestor}, true
 }
 
 // deriveEventTally counts events by kind, separating derived-flagged admission
@@ -115,27 +115,28 @@ func TestDeriveSkippedWithPayloadOrZeroCost(t *testing.T) {
 }
 
 func TestReferenceDerivedOnResidentEntryChargesHit(t *testing.T) {
-	c, err := New(Config{Capacity: 1 << 20, K: 2, Policy: LNCRA})
+	sd := &stubDeriver{cost: 3, ancestor: "anc"}
+	c, err := New(Config{Capacity: 1 << 20, K: 2, Policy: LNCRA, Deriver: sd})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The set becomes resident between a Load leader's derivation (off
-	// the shard lock) and its commit: ReferenceDerived must charge an
-	// ordinary hit, not re-run the insert machinery on the resident
-	// entry (which would double-charge capacity and the evictor).
-	id := CompressID("q")
-	sig := Signature(id)
-	c.ReferenceCanonical(Request{QueryID: id, Time: 1, Size: 512, Cost: 100, Payload: "rows"}, sig)
+	// A plan-carrying reference to a resident set is an exact hit: the
+	// derivation stage runs only on a miss, so the deriver is never asked
+	// and the insert machinery never re-runs on the resident entry (which
+	// would double-charge capacity and the evictor).
+	c.Reference(Request{QueryID: "q", Time: 1, Size: 512, Cost: 100, Payload: "rows", Plan: "derivable"})
 	usedBefore := c.UsedBytes()
 
-	p := c.ReferenceDerived(Request{QueryID: id, Time: 2, Size: 512, Cost: 100},
-		sig, Derivation{Cost: 3, Remote: 100, AncestorID: "anc"})
-	if p != "rows" {
-		t.Fatalf("payload = %v, want the resident payload", p)
+	hit, p := c.Reference(Request{QueryID: "q", Time: 2, Size: 512, Cost: 100, Plan: "derivable"})
+	if !hit || p != "rows" {
+		t.Fatalf("hit = %v payload = %v, want the resident payload", hit, p)
+	}
+	if sd.calls != 0 {
+		t.Fatalf("deriver consulted %d times, want 0", sd.calls)
 	}
 	st := c.Stats()
-	if st.Hits != 1 || st.DerivedHits != 0 {
-		t.Fatalf("stats = hits %d derived %d, want 1/0", st.Hits, st.DerivedHits)
+	if st.Hits != 1 || st.DerivedHits != 0 || st.DeriveCost != 0 {
+		t.Fatalf("stats = hits %d derived %d derive cost %g, want 1/0/0", st.Hits, st.DerivedHits, st.DeriveCost)
 	}
 	if c.UsedBytes() != usedBefore || c.Resident() != 1 {
 		t.Fatalf("capacity accounting changed: used %d→%d, resident %d",

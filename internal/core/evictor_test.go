@@ -227,9 +227,7 @@ func requireSameReplay(t *testing.T, label string, got, oracle *Cache, gotLog, o
 // every eviction profit bit for bit, and (through RetainedDropped) every
 // pruning pass, which reads the evictor's resident list.
 func TestScanEvictorReplayMatchesSortOracle(t *testing.T) {
-	_, multiclass, err := workload.GenerateMulticlass(0, workload.MulticlassConfig{
-		Config: workload.Config{Queries: 4000, Seed: 7},
-	})
+	_, multiclass, err := workload.GenerateMulticlass(0, workload.Config{Queries: 4000, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,9 +89,7 @@ func TestCheckInvariantsRejectsNonCanonicalID(t *testing.T) {
 // must be equal and the event streams identical: every ID, every victim
 // list in order, every profit bit for bit.
 func TestBytesFrontReplayMatchesTwoPassOracle(t *testing.T) {
-	_, multiclass, err := workload.GenerateMulticlass(0, workload.MulticlassConfig{
-		Config: workload.Config{Queries: 4000, Seed: 11},
-	})
+	_, multiclass, err := workload.GenerateMulticlass(0, workload.Config{Queries: 4000, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

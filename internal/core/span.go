@@ -20,9 +20,8 @@ type Stage uint8
 const (
 	// StageLookup is the index probe locating the entry (or not).
 	StageLookup Stage = iota
-	// StageDerive is time spent consulting the semantic deriver — inline
-	// on the Reference miss path, or attributed from the singleflight
-	// flight via Request.ExecNanos on the concurrent Load path.
+	// StageDerive is time spent consulting the semantic deriver on the
+	// Reference miss path.
 	StageDerive
 	// StageLoad is loader execution time attributed by the concurrent
 	// front via Request.ExecNanos; the core never runs loaders itself.
@@ -151,8 +150,8 @@ func (c *Cache) spanStage(st Stage) {
 }
 
 // spanCharge attributes externally measured nanoseconds to a stage — the
-// concurrent front times loader executions and derivations outside the
-// shard lock and reports them via Request.ExecNanos.
+// concurrent front times loader executions outside the shard lock and
+// reports them via Request.ExecNanos.
 func (c *Cache) spanCharge(st Stage, nanos int64) {
 	if c.tracer == nil || nanos <= 0 {
 		return

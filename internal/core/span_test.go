@@ -159,8 +159,8 @@ func TestSpanEvictionStage(t *testing.T) {
 }
 
 // TestSpanExecNanosAttribution checks externally measured loader time
-// (Request.ExecNanos) lands in the load stage, and derivation time from
-// the singleflight path in the derive stage.
+// (Request.ExecNanos) lands in the load stage, on both the admission and
+// the external-miss paths.
 func TestSpanExecNanosAttribution(t *testing.T) {
 	tr := &captureTracer{}
 	c := newTracedCache(t, Config{Capacity: 1 << 20, K: 2, Policy: LNCRA}, tr)
@@ -172,19 +172,6 @@ func TestSpanExecNanosAttribution(t *testing.T) {
 	}
 
 	id := CompressID("qd")
-	c.ReferenceDerived(Request{QueryID: id, Time: 2, Size: 100, Cost: 10, ExecNanos: 777}, Signature(id),
-		Derivation{Cost: 1, Remote: 10, AncestorID: CompressID("q")})
-	sp = tr.last(t)
-	if sp.Stages[StageDerive] != 777 {
-		t.Errorf("derive stage = %d ns, want 777", sp.Stages[StageDerive])
-	}
-	if sp.AncestorID != CompressID("q") {
-		t.Errorf("ancestor = %q, want %q", sp.AncestorID, CompressID("q"))
-	}
-	if sp.Outcome != EventHitDerived {
-		t.Errorf("outcome = %v, want %v", sp.Outcome, EventHitDerived)
-	}
-
 	c.Account(Request{QueryID: id, Time: 3, Size: 100, Cost: 10, ExecNanos: 999}, false)
 	sp = tr.last(t)
 	if sp.Stages[StageLoad] != 999 {
@@ -192,6 +179,24 @@ func TestSpanExecNanosAttribution(t *testing.T) {
 	}
 	if sp.Outcome != EventExternalMiss {
 		t.Errorf("Account outcome = %v, want %v", sp.Outcome, EventExternalMiss)
+	}
+}
+
+// TestSpanDerivedHit checks an inline derivation completes a HitDerived
+// span naming the ancestor it was derived from.
+func TestSpanDerivedHit(t *testing.T) {
+	tr := &captureTracer{}
+	c := newTracedCache(t, Config{Capacity: 1 << 20, K: 2, Policy: LNCRA,
+		Deriver: &stubDeriver{cost: 1, ancestor: CompressID("anc")}}, tr)
+
+	c.Reference(Request{QueryID: "anc", Time: 1, Size: 100, Cost: 10, Plan: "opaque"})
+	c.Reference(Request{QueryID: "qd", Time: 2, Size: 100, Cost: 10, Plan: "derivable"})
+	sp := tr.last(t)
+	if sp.Outcome != EventHitDerived {
+		t.Errorf("outcome = %v, want %v", sp.Outcome, EventHitDerived)
+	}
+	if sp.AncestorID != CompressID("anc") {
+		t.Errorf("ancestor = %q, want %q", sp.AncestorID, CompressID("anc"))
 	}
 }
 

@@ -9,8 +9,8 @@
 // currently cached entries, maintained off the cache's event stream (it
 // implements core.EventSink; core.New attaches it automatically when it
 // is installed as Config.Deriver). On a miss it scans the candidates for
-// the cheapest subsuming ancestor and succeeds only when the estimator
-// says the derivation costs strictly less than remote execution. When the
+// the cheapest subsuming ancestor and succeeds only when re-scanning it
+// costs strictly less than the request's remote cost. When the
 // ancestor's payload is a materialized engine result, the answer is
 // rewritten row-for-row (bit-identical to remote execution — the
 // equivalence corpus proves it); in bookkeeping replays without payloads
@@ -22,7 +22,6 @@
 package derive
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -30,22 +29,10 @@ import (
 	"repro/internal/engine"
 )
 
-// Config parameterizes a Deriver.
-type Config struct {
-	// Engine, if non-nil, lets the deriver estimate remote costs for
-	// requests that do not carry them (the concurrent Load path) using
-	// the closed-form estimator. Rewriting cached results needs no
-	// engine: it is pure row algebra over the payload.
-	Engine *engine.Engine
-	// PageSize is the page size of the derivation cost model (a
-	// derivation costs the pages of the ancestor set it re-scans). Zero
-	// selects the experiments' default.
-	PageSize int
-}
-
 // Stats are the deriver's cumulative counters.
 type Stats struct {
-	// Attempts counts Derive calls that carried a usable descriptor.
+	// Attempts counts Derive calls that carried a usable descriptor and a
+	// positive remote cost.
 	Attempts int64 `json:"attempts"`
 	// Derived counts successful derivations.
 	Derived int64 `json:"derived"`
@@ -65,8 +52,6 @@ type candidate struct {
 // Deriver implements core.Deriver and core.EventSink: a match-and-rewrite
 // engine over the descriptors of currently cached entries.
 type Deriver struct {
-	cfg Config
-
 	// mu guards byRel: Emit and DropRelations write, Derive only reads,
 	// so concurrent misses across shards scan the index in parallel.
 	mu    sync.RWMutex
@@ -78,8 +63,8 @@ type Deriver struct {
 }
 
 // New creates an empty deriver.
-func New(cfg Config) *Deriver {
-	return &Deriver{cfg: cfg, byRel: make(map[string]map[string]*candidate)}
+func New() *Deriver {
+	return &Deriver{byRel: make(map[string]map[string]*candidate)}
 }
 
 // Stats returns a snapshot of the deriver's counters.
@@ -171,33 +156,16 @@ func (d *Deriver) Emit(ev core.Event) {
 
 // Derive implements core.Deriver: it searches the indexed candidates for
 // the cheapest cached ancestor subsuming the request's plan and, when
-// derivation beats the remote cost, returns the derived outcome. The
-// remote-cost basis is req.Cost when positive; otherwise the engine's
-// estimate (requests from the concurrent Load path, whose size and cost
-// normally come from the loader). Candidate selection is deterministic:
-// least derivation cost, ties broken by ascending ancestor ID.
+// derivation beats the remote cost req.Cost, returns the derived outcome.
+// A request without a positive Cost has no basis to beat and is declined.
+// Candidate selection is deterministic: least derivation cost, ties broken
+// by ascending ancestor ID.
 func (d *Deriver) Derive(req core.Request) (core.Derivation, bool) {
 	desc, ok := req.Plan.(*engine.Descriptor)
-	if !ok || desc == nil {
+	if !ok || desc == nil || req.Cost <= 0 {
 		return core.Derivation{}, false
 	}
 	d.attempts.Add(1)
-
-	remote := req.Cost
-	size := req.Size
-	if remote <= 0 {
-		if d.cfg.Engine == nil {
-			return core.Derivation{}, false
-		}
-		est, err := d.cfg.Engine.Estimate(desc.Plan())
-		if err != nil {
-			return core.Derivation{}, false
-		}
-		remote = math.Max(1, math.Round(est.Cost))
-		if size <= 0 {
-			size = int64(math.Round(est.Bytes))
-		}
-	}
 
 	m := engine.NewMatcher(desc)
 	d.mu.RLock()
@@ -207,8 +175,8 @@ func (d *Deriver) Derive(req core.Request) (core.Derivation, bool) {
 		if c.id == req.QueryID || !m.Subsumes(c.desc) {
 			continue
 		}
-		cost := engine.DeriveCost(c.size, d.cfg.PageSize)
-		if cost >= remote {
+		cost := engine.DeriveCost(c.size)
+		if cost >= req.Cost {
 			continue
 		}
 		if best == nil || cost < bestCost || (cost == bestCost && c.id < best.id) {
@@ -220,7 +188,7 @@ func (d *Deriver) Derive(req core.Request) (core.Derivation, bool) {
 		return core.Derivation{}, false
 	}
 
-	out := core.Derivation{Cost: bestCost, Remote: remote, AncestorID: best.id, Size: size}
+	out := core.Derivation{Cost: bestCost, AncestorID: best.id, Size: req.Size}
 	if best.payload != nil {
 		res, err := engine.Rewrite(best.desc, desc, best.payload)
 		if err != nil {
@@ -233,8 +201,8 @@ func (d *Deriver) Derive(req core.Request) (core.Derivation, bool) {
 		d.rewrites.Add(1)
 	}
 	if out.Size <= 0 {
-		// Without a payload, an estimate, or a request size there is
-		// nothing coherent to account; decline.
+		// Without a payload or a request size there is nothing coherent
+		// to account; decline.
 		return core.Derivation{}, false
 	}
 	d.derived.Add(1)

@@ -27,7 +27,7 @@ func newDerivedCache(t *testing.T, d *Deriver, capacity int64) *core.Cache {
 }
 
 func TestDeriverIndexFollowsLifecycle(t *testing.T) {
-	d := New(Config{})
+	d := New()
 	c := newDerivedCache(t, d, 1<<20)
 
 	anc := descScan(0, 40)
@@ -51,7 +51,7 @@ func TestDeriverIndexFollowsLifecycle(t *testing.T) {
 }
 
 func TestDropRelations(t *testing.T) {
-	d := New(Config{})
+	d := New()
 	c := newDerivedCache(t, d, 1<<20)
 	c.Reference(core.Request{QueryID: "a", Time: 1, Size: 64, Cost: 100,
 		Relations: []string{"fact"}, Plan: descScan(0, 40)})
@@ -74,7 +74,7 @@ func TestDropRelations(t *testing.T) {
 }
 
 func TestDeriveBookkeeping(t *testing.T) {
-	d := New(Config{PageSize: 4096})
+	d := New()
 	c := newDerivedCache(t, d, 1<<20)
 
 	c.Reference(core.Request{QueryID: "anc", Time: 1, Size: 8192, Cost: 500,
@@ -123,7 +123,7 @@ func TestDeriveBookkeeping(t *testing.T) {
 }
 
 func TestDeriveDeclinesWhenNotProfitable(t *testing.T) {
-	d := New(Config{PageSize: 4096})
+	d := New()
 	c := newDerivedCache(t, d, 1<<20)
 
 	// A huge ancestor: re-scanning it costs more than remote execution.
@@ -140,7 +140,7 @@ func TestDeriveDeclinesWhenNotProfitable(t *testing.T) {
 }
 
 func TestDeriveDeterministicTieBreak(t *testing.T) {
-	d := New(Config{PageSize: 4096})
+	d := New()
 	c := newDerivedCache(t, d, 1<<20)
 
 	// Two equally sized subsuming ancestors: selection must tie-break on
@@ -164,7 +164,7 @@ func TestDeriveDeterministicTieBreak(t *testing.T) {
 
 func TestDeriveMaterializesPayload(t *testing.T) {
 	eng := engine.New(miniDB())
-	d := New(Config{Engine: eng, PageSize: 4096})
+	d := New()
 	c := newDerivedCache(t, d, 1<<20)
 
 	anc := descScan(0, 40)

@@ -577,18 +577,8 @@ func rewriteAggregateRows(plan *derivationPlan, q *Descriptor, res *Result) *Res
 
 // DeriveCost returns the cost of answering a query by re-scanning a cached
 // retrieved set of the given size, in the paper's logical block reads: the
-// number of pages the set occupies. A zero or negative page size selects
-// the experiments' default.
-func DeriveCost(ancestorBytes int64, pageSize int) float64 {
-	if pageSize <= 0 {
-		pageSize = relation.DefaultPageSize
-	}
-	if ancestorBytes <= 0 {
-		return 1
-	}
-	pages := (ancestorBytes + int64(pageSize) - 1) / int64(pageSize)
-	if pages < 1 {
-		pages = 1
-	}
-	return float64(pages)
+// number of experiment-default pages the set occupies, at least one.
+func DeriveCost(ancestorBytes int64) float64 {
+	const pageSize = relation.DefaultPageSize
+	return float64(max(1, (ancestorBytes+pageSize-1)/pageSize))
 }

@@ -112,16 +112,16 @@ func TestDescribePlanRoundTrip(t *testing.T) {
 }
 
 func TestDeriveCost(t *testing.T) {
-	if got := DeriveCost(0, 4096); got != 1 {
+	if got := DeriveCost(0); got != 1 {
 		t.Fatalf("DeriveCost(0) = %g, want 1", got)
 	}
-	if got := DeriveCost(4096, 4096); got != 1 {
+	if got := DeriveCost(4096); got != 1 {
 		t.Fatalf("DeriveCost(one page) = %g, want 1", got)
 	}
-	if got := DeriveCost(4097, 4096); got != 2 {
+	if got := DeriveCost(4097); got != 2 {
 		t.Fatalf("DeriveCost(one page + 1) = %g, want 2", got)
 	}
-	if got := DeriveCost(1<<20, 0); got != 256 {
+	if got := DeriveCost(1 << 20); got != 256 {
 		t.Fatalf("DeriveCost(1MiB, default page) = %g, want 256", got)
 	}
 }

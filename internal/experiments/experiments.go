@@ -19,17 +19,14 @@ import (
 )
 
 // Options scales the experiment suite. The zero value reproduces the
-// paper's setup (17 000 queries, 30 MB TPC-D, 100 MB Set Query).
+// paper's setup (17 000 queries); the databases are always the paper's
+// 30 MB TPC-D and 100 MB Set Query (workload.TPCDScale, SetQueryScale).
 type Options struct {
 	// Queries is the trace length; 0 selects the paper's 17 000.
 	Queries int
 	// Seed drives workload generation; runs with equal seeds are
 	// bit-identical.
 	Seed int64
-	// TPCDScale and SetQueryScale override the database scales; zero
-	// selects the paper's 0.03 / 0.5.
-	TPCDScale     float64
-	SetQueryScale float64
 	// BufferQueries is the trace length of the Figure 7 run; 0 selects
 	// Queries. The Figure 7 run streams tens of millions of page
 	// references, so benchmarks may want a smaller value.
@@ -59,7 +56,7 @@ func NewSuite(opts Options) *Suite {
 // TPCD returns the memoized TPC-D trace.
 func (s *Suite) TPCD() (*trace.Trace, error) {
 	if s.tpcd == nil {
-		_, tr, err := workload.StandardTPCD(s.opts.TPCDScale, workload.Config{
+		_, tr, err := workload.StandardTPCD(workload.TPCDScale, workload.Config{
 			Queries: s.opts.Queries,
 			Seed:    s.opts.Seed + 1,
 		})
@@ -74,7 +71,7 @@ func (s *Suite) TPCD() (*trace.Trace, error) {
 // SetQuery returns the memoized Set Query trace.
 func (s *Suite) SetQuery() (*trace.Trace, error) {
 	if s.setquery == nil {
-		_, tr, err := workload.StandardSetQuery(s.opts.SetQueryScale, workload.Config{
+		_, tr, err := workload.StandardSetQuery(workload.SetQueryScale, workload.Config{
 			Queries: s.opts.Queries,
 			Seed:    s.opts.Seed + 2,
 		})
@@ -410,9 +407,7 @@ func (s *Suite) AblationRetained() (*metrics.Table, error) {
 // per-class activity, where retaining K > 1 reference times should matter
 // more than in the single-class traces.
 func (s *Suite) Multiclass() (*metrics.Table, error) {
-	_, tr, err := workload.GenerateMulticlass(s.opts.TPCDScale, workload.MulticlassConfig{
-		Config: workload.Config{Queries: s.opts.Queries, Seed: s.opts.Seed + 11},
-	})
+	_, tr, err := workload.GenerateMulticlass(workload.TPCDScale, workload.Config{Queries: s.opts.Queries, Seed: s.opts.Seed + 11})
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@
 package metrics
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
 	"strconv"
@@ -94,33 +95,14 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// CSV writes the table as CSV (title omitted).
+// CSV writes the table as RFC 4180 CSV (title omitted): a cell holding a
+// comma, a quote or a line break is quoted, its quotes doubled.
 func (t *Table) CSV(w io.Writer) error {
-	esc := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return strconv.Quote(s)
-		}
-		return s
+	cw := csv.NewWriter(w)
+	if err := cw.Write(t.Columns); err != nil {
+		return err
 	}
-	var b strings.Builder
-	for i, c := range t.Columns {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(esc(c))
-	}
-	b.WriteByte('\n')
-	for _, row := range t.Rows {
-		for i, cell := range row {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(esc(cell))
-		}
-		b.WriteByte('\n')
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
+	return cw.WriteAll(t.Rows)
 }
 
 // Point is one (x, y) sample of a curve.

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"encoding/csv"
 	"strings"
 	"testing"
 )
@@ -60,8 +61,15 @@ func TestTableCSV(t *testing.T) {
 	if !strings.HasPrefix(out, "a,b\n") {
 		t.Fatalf("CSV header wrong: %q", out)
 	}
-	if !strings.Contains(out, `"with \"quotes\", and comma"`) {
+	if !strings.Contains(out, `"with ""quotes"", and comma"`) {
 		t.Fatalf("CSV escaping wrong: %q", out)
+	}
+	rows, err := csv.NewReader(strings.NewReader(out)).ReadAll()
+	if err != nil {
+		t.Fatalf("CSV does not parse: %v\n%s", err, out)
+	}
+	if len(rows) != 2 || rows[1][1] != `with "quotes", and comma` {
+		t.Fatalf("CSV round trip = %q", rows)
 	}
 }
 

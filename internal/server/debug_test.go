@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
 	"net/http"
@@ -344,4 +345,47 @@ func TestStatsCSVRelationSection(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/stats?format=csv&section=bogus", nil); code != http.StatusBadRequest {
 		t.Errorf("bogus section: status %d, want 400", code)
 	}
+}
+
+// TestStatsCSVRelationNameParses sends a relation name holding a quote
+// and a comma over HTTP and reads it back out of the per-relation CSV with
+// encoding/csv: the CSV must be RFC 4180, not Go-quoted.
+func TestStatsCSVRelationNameParses(t *testing.T) {
+	sc, err := shard.New(shard.Config{
+		Shards:   1,
+		Cache:    core.Config{Capacity: 1 << 20, K: 2, Policy: core.LNCRA},
+		Registry: telemetry.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(sc))
+	defer ts.Close()
+
+	const name = `say "hi", there`
+	body := `{"query_id":"q","time":1,"size":64,"cost":10,"relations":["say \"hi\", there"]}`
+	resp, err := http.Post(ts.URL+"/v1/reference", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("reference: status %s", resp.Status)
+	}
+
+	resp, err = http.Get(ts.URL + "/stats?format=csv&section=relation")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	rows, err := csv.NewReader(resp.Body).ReadAll()
+	if err != nil {
+		t.Fatalf("relation CSV does not parse: %v", err)
+	}
+	for _, row := range rows[1:] {
+		if row[0] == name {
+			return
+		}
+	}
+	t.Fatalf("relation %q not in the CSV rows %q", name, rows)
 }

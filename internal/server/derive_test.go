@@ -22,7 +22,7 @@ func newDeriveServer(t *testing.T) (*httptest.Server, *telemetry.Registry) {
 		Shards:   4,
 		Cache:    core.Config{Capacity: 1 << 20, K: 2, Policy: core.LNCRA},
 		Registry: reg,
-		Deriver:  derive.New(derive.Config{}),
+		Deriver:  derive.New(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -69,15 +69,17 @@ func (l *planLoader) load(req core.Request) (any, int64, float64, error) {
 	return res, res.Bytes(), float64(sink.N), nil
 }
 
-// TestLoadCoalescesOntoOneDerivation drives N concurrent Loads of the
-// same derivable query: the flight must coalesce onto a single derivation
-// with zero loader executions for the derived query, and every caller
-// must receive the rows remote execution would produce. Run under -race
-// by the concurrency CI job.
+// TestLoadCoalescesOntoOneDerivation drives N concurrent plan-carrying
+// Loads of a query a cached set subsumes, with a Deriver attached: Load
+// never derives (its remote cost is unknown until the loader runs), so the
+// flight coalesces onto exactly one loader execution and every caller
+// receives the loader's rows. The deriver still indexes the admitted set,
+// and a later Reference of the same plan — which carries its cost — is a
+// derived hit. Run under -race by the concurrency CI job.
 func TestLoadCoalescesOntoOneDerivation(t *testing.T) {
 	db := deriveTestDB()
 	eng := engine.New(db)
-	dvr := derive.New(derive.Config{Engine: eng, PageSize: db.PageSize})
+	dvr := derive.New()
 	loader := &planLoader{eng: eng, plans: map[string]*engine.Descriptor{}, execs: map[string]*atomic.Int64{}}
 
 	s, err := New(Config{
@@ -108,14 +110,27 @@ func TestLoadCoalescesOntoOneDerivation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want := func() *engine.Result {
-		var sink storage.CountingSink
-		res, err := eng.Execute(child.Plan(), &sink)
-		if err != nil {
-			t.Fatal(err)
+	var remote storage.CountingSink
+	want, err := eng.Execute(child.Plan(), &remote)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRows := func(who string, res *engine.Result) {
+		t.Helper()
+		if res == nil {
+			t.Fatalf("%s received no *engine.Result", who)
 		}
-		return res
-	}()
+		if len(res.Rows) != len(want.Rows) {
+			t.Fatalf("%s: %d rows, want %d", who, len(res.Rows), len(want.Rows))
+		}
+		for i := range want.Rows {
+			for j := range want.Rows[i] {
+				if res.Rows[i][j] != want.Rows[i][j] {
+					t.Fatalf("%s row %d differs: %v vs %v", who, i, res.Rows[i], want.Rows[i])
+				}
+			}
+		}
+	}
 
 	const workers = 32
 	var wg sync.WaitGroup
@@ -140,47 +155,44 @@ func TestLoadCoalescesOntoOneDerivation(t *testing.T) {
 		}
 	}
 	for w, res := range results {
-		if res == nil {
-			t.Fatalf("worker %d received %T payload", w, results[w])
-		}
-		if len(res.Rows) != len(want.Rows) {
-			t.Fatalf("worker %d: %d rows, want %d", w, len(res.Rows), len(want.Rows))
-		}
-		for i := range want.Rows {
-			for j := range want.Rows[i] {
-				if res.Rows[i][j] != want.Rows[i][j] {
-					t.Fatalf("worker %d row %d differs: %v vs %v", w, i, res.Rows[i], want.Rows[i])
-				}
-			}
-		}
+		sameRows(fmt.Sprintf("worker %d", w), res)
 	}
 
-	if n := loader.execs[core.CompressID("child")].Load(); n != 0 {
-		t.Fatalf("loader executed the derivable query %d times, want 0", n)
+	if n := loader.execs[core.CompressID("child")].Load(); n != 1 {
+		t.Fatalf("loader executed the child query %d times, want exactly 1 (singleflight coalescing)", n)
 	}
 	st := s.Stats()
-	if st.Derivations != 1 {
-		t.Fatalf("Derivations = %d, want exactly 1 (singleflight coalescing)", st.Derivations)
+	if st.DerivedHits != 0 {
+		t.Fatalf("DerivedHits = %d after the Loads, want 0 (Load never derives)", st.DerivedHits)
 	}
-	if st.DerivedHits != 1 {
-		t.Fatalf("DerivedHits = %d, want 1 (followers hit the admitted derived set)", st.DerivedHits)
+	if st.LoaderCalls != 2 {
+		t.Fatalf("LoaderCalls = %d, want 2 (the ancestor seed and one child execution)", st.LoaderCalls)
 	}
-	if st.LoaderCalls != 1 {
-		t.Fatalf("LoaderCalls = %d, want 1 (the ancestor seed only)", st.LoaderCalls)
+	if n := dvr.Candidates(); n != 2 {
+		t.Fatalf("deriver indexes %d candidates, want 2 (both Load admissions)", n)
+	}
+
+	// The same plan under another ID, referenced with its remote cost,
+	// derives from the cached content.
+	hit, payload := s.Reference(core.Request{QueryID: "child again", Size: want.Bytes(),
+		Cost: float64(remote.N), Relations: []string{"fact"}, Plan: child})
+	if !hit {
+		t.Fatal("Reference of the loaded plan missed, want a derived hit")
+	}
+	res, _ := payload.(*engine.Result)
+	sameRows("the derived Reference", res)
+	if st := s.Stats(); st.DerivedHits != 1 || st.LoaderCalls != 2 {
+		t.Fatalf("after the Reference: DerivedHits = %d LoaderCalls = %d, want 1/2", st.DerivedHits, st.LoaderCalls)
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestLoadDerivedStaleNotCached ensures an invalidation landing during a
-// derivation fences the result out of the cache, exactly as it does for
-// loader executions.
+// TestLoadDerivedStaleNotCached ensures an invalidation landing while a
+// plan-carrying Load runs its loader fences the result out of the cache,
+// with a Deriver attached exactly as without one.
 func TestLoadDerivedStaleNotCached(t *testing.T) {
-	db := deriveTestDB()
-	eng := engine.New(db)
-	dvr := derive.New(derive.Config{Engine: eng, PageSize: db.PageSize})
-
 	gate := make(chan struct{})
 	released := make(chan struct{})
 	blockingLoader := func(req core.Request) (any, int64, float64, error) {
@@ -188,6 +200,7 @@ func TestLoadDerivedStaleNotCached(t *testing.T) {
 		<-gate
 		return "rows", 64, 100, nil
 	}
+	dvr := derive.New()
 	s, err := New(Config{
 		Shards:  1,
 		Cache:   core.Config{Capacity: 1 << 20, K: 2, Policy: core.LNCRA},
@@ -198,14 +211,15 @@ func TestLoadDerivedStaleNotCached(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The underivable first load blocks in the loader while we invalidate
-	// its relation; the result must not be cached.
+	// The first load blocks in the loader while we invalidate its
+	// relation; the result must reach the caller but not the cache.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if _, hit, err := s.Load(core.Request{QueryID: "q", Relations: []string{"fact"},
-			Plan: &engine.Descriptor{Rel: "fact", Cols: []string{"day"}}}); err != nil || hit {
-			t.Errorf("load: hit=%v err=%v", hit, err)
+		payload, hit, err := s.Load(core.Request{QueryID: "q", Relations: []string{"fact"},
+			Plan: &engine.Descriptor{Rel: "fact", Cols: []string{"day"}}})
+		if err != nil || hit || payload != "rows" {
+			t.Errorf("load: payload=%v hit=%v err=%v", payload, hit, err)
 		}
 	}()
 	<-released
@@ -214,6 +228,12 @@ func TestLoadDerivedStaleNotCached(t *testing.T) {
 	<-done
 	if _, ok := s.Peek("q"); ok {
 		t.Fatal("stale result was cached")
+	}
+	if n := dvr.Candidates(); n != 0 {
+		t.Fatalf("deriver indexes %d candidates, want 0 (nothing was admitted)", n)
+	}
+	if st := s.Stats(); st.ExternalMisses != 1 || st.Admissions != 0 {
+		t.Fatalf("stats = external misses %d admissions %d, want 1/0", st.ExternalMisses, st.Admissions)
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -62,12 +62,12 @@ type Config struct {
 	// coalescing.
 	Loader Loader
 	// Deriver, if non-nil, enables semantic derivation: every shard's
-	// cache consults it on the Reference miss path, and Load tries a
-	// derivation inside the singleflight flight before running the Loader
-	// — concurrent misses on the same query coalesce onto one derivation
-	// exactly as they coalesce onto one loader execution. The same
-	// Deriver instance is shared by all shards (it synchronizes
-	// internally) and observes every shard's lifecycle events.
+	// cache consults it on the Reference miss path, where the request
+	// carries the remote cost a derivation must beat. Load does not derive
+	// (its cost is unknown until the loader has run); the sets it admits
+	// still enter the deriver's index. The same Deriver instance is shared
+	// by all shards (it synchronizes internally) and observes every
+	// shard's lifecycle events.
 	Deriver core.Deriver
 	// Registry, if non-nil, receives every cache lifecycle event: each
 	// shard's core cache gets a per-shard sink fanning into this one
@@ -86,8 +86,8 @@ type Config struct {
 	Tuner *admission.Tuner
 	// Recorder, if non-nil, enables the flight recorder: every shard's
 	// cache gets a per-shard span tracer and decision sink writing into
-	// the recorder's rings, and loader/derivation executions on the Load
-	// path are timed so spans attribute their wall time. Nil keeps the
+	// the recorder's rings, and loader executions on the Load path are
+	// timed so spans attribute their wall time. Nil keeps the
 	// lifecycle untraced (zero overhead beyond a nil check per hook).
 	Recorder *flightrec.Recorder
 	// WhatIf, if non-nil, attaches the ghost-cache matrix: every shard's
@@ -113,10 +113,6 @@ type Stats struct {
 	// Coalesced is the number of Load calls that were served by waiting on
 	// another caller's in-flight execution of the same query.
 	Coalesced int64 `json:"coalesced"`
-	// Derivations is the number of singleflight flights answered by
-	// semantic derivation instead of a loader execution. Followers that
-	// waited on such a flight are counted in Coalesced as usual.
-	Derivations int64 `json:"derivations"`
 }
 
 // flight is one in-progress loader execution that followers wait on.
@@ -130,14 +126,9 @@ type flight struct {
 	// the loader ran: the result may predate the update, so neither the
 	// leader nor any follower admits it.
 	stale bool
-	// derivation is non-nil when the leader answered the flight by
-	// semantic derivation instead of running the loader; size and cost
-	// then carry the derived-set size and the remote-cost basis.
-	derivation *core.Derivation
-	// execNanos is the wall time the leader spent in the loader (or the
-	// derivation attempt), measured outside the shard lock; the flight
-	// recorder attributes it to the span's load/derive stage. Zero when
-	// untimed.
+	// execNanos is the wall time the leader spent in the loader, measured
+	// outside the shard lock; the flight recorder attributes it to the
+	// span's load stage. Zero when untimed.
 	execNanos int64
 	// epoch is the shard's invalidation epoch at the moment the leader
 	// admitted the result; followers re-check their relations against it
@@ -199,7 +190,6 @@ type Sharded struct {
 
 	loaderCalls atomic.Int64
 	coalesced   atomic.Int64
-	derivations atomic.Int64
 }
 
 // WallClock returns a time source that maps wall time to core's logical
@@ -326,10 +316,6 @@ func (s *Sharded) Reference(req core.Request) (hit bool, payload any) {
 // a static admission policy.
 func (s *Sharded) Tuner() *admission.Tuner { return s.tuner }
 
-// Deriver returns the semantic deriver the cache consults on misses, or
-// nil when derivation is disabled.
-func (s *Sharded) Deriver() core.Deriver { return s.deriver }
-
 // Registry returns the telemetry registry the cache's lifecycle events
 // fan into, or nil when none was configured.
 func (s *Sharded) Registry() *telemetry.Registry { return s.reg }
@@ -429,60 +415,29 @@ func (s *Sharded) Load(req core.Request) (payload any, hit bool, err error) {
 		return f.payload, false, nil
 	}
 
-	// Leader: publish the flight, then — unlocked — try answering by
-	// derivation from cached content before paying for a loader
-	// execution. Either way, feed the result through the admission path.
-	// Followers waiting on the flight coalesce onto whichever happened.
+	// Leader: publish the flight, run the loader unlocked, then feed the
+	// result through the admission path. Followers waiting on the flight
+	// coalesce onto the one execution.
 	f := &flight{}
 	f.wg.Add(1)
 	sh.inflight[id] = f
 	epoch := sh.epoch
 	sh.mu.Unlock()
 
-	if s.deriver != nil && req.Plan != nil {
-		// Load's contract is "returns the data", so only materialized
-		// derivations count here: a bookkeeping-only outcome (nil
-		// payload) would hand the caller nothing and admit a payload-less
-		// entry that turns every later Load hit into a nil result with
-		// the loader bypassed. Those fall through to the loader.
-		var start time.Time
-		if s.rec != nil {
-			start = clock.Now()
-		}
-		if d, ok := s.deriver.Derive(core.Request{QueryID: id, Class: req.Class,
-			Relations: req.Relations, Plan: req.Plan}); ok && d.Payload != nil {
-			f.payload, f.size, f.cost = d.Payload, d.Size, d.Remote
-			f.derivation = &d
-			s.derivations.Add(1)
-		}
-		if s.rec != nil {
-			f.execNanos = int64(clock.Since(start))
-		}
-	}
-	if f.derivation == nil {
-		s.runLoader(f, req)
-	}
+	s.runLoader(f, req)
 
 	sh.mu.Lock()
 	delete(sh.inflight, id)
-	// An invalidation of this query's relations during the loader run (or
-	// the derivation — the ancestor's data may predate the update too)
+	// An invalidation of this query's relations during the loader run
 	// means the result may predate the base-relation update: hand it to
 	// the callers but do not cache it.
 	f.stale = sh.staleSince(req.Relations, epoch)
 	f.epoch = sh.epoch
 	if f.err == nil && !f.stale {
-		if f.derivation != nil {
-			sh.cache.ReferenceDerived(core.Request{
-				QueryID: id, Time: req.Time, Class: req.Class, Size: f.size, Cost: f.cost,
-				Relations: req.Relations, Plan: req.Plan, ExecNanos: f.execNanos,
-			}, sig, *f.derivation)
-		} else {
-			sh.cache.ReferenceExecuted(core.Request{
-				QueryID: id, Time: req.Time, Class: req.Class, Size: f.size, Cost: f.cost,
-				Relations: req.Relations, Payload: f.payload, Plan: req.Plan, ExecNanos: f.execNanos,
-			}, sig)
-		}
+		sh.cache.ReferenceExecuted(core.Request{
+			QueryID: id, Time: req.Time, Class: req.Class, Size: f.size, Cost: f.cost,
+			Relations: req.Relations, Payload: f.payload, Plan: req.Plan, ExecNanos: f.execNanos,
+		}, sig)
 	} else {
 		// The leader's outcome never reaches the miss lifecycle (loader
 		// failure, or a coherence event made the result stale): charge the
@@ -507,9 +462,7 @@ func (s *Sharded) Load(req core.Request) (payload any, hit bool, err error) {
 	if f.err != nil {
 		return nil, false, f.err
 	}
-	// A derived answer was served from cache content; report it as a hit
-	// so callers know no remote execution happened.
-	return f.payload, f.derivation != nil && !f.stale, nil
+	return f.payload, false, nil
 }
 
 // runLoader executes the loader outside all locks, converting a panic into
@@ -605,7 +558,6 @@ func (s *Sharded) Stats() Stats {
 	}
 	out.LoaderCalls = s.loaderCalls.Load()
 	out.Coalesced = s.coalesced.Load()
-	out.Derivations = s.derivations.Load()
 	return out
 }
 

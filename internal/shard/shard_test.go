@@ -473,7 +473,7 @@ func goldenTraces(t *testing.T) map[string]*trace.Trace {
 		t.Fatal(err)
 	}
 	out["tpcd"] = tr
-	_, tr, err = workload.GenerateMulticlass(0, workload.MulticlassConfig{Config: workload.Config{Queries: 4000, Seed: 42}})
+	_, tr, err = workload.GenerateMulticlass(0, workload.Config{Queries: 4000, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}

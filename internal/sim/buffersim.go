@@ -27,8 +27,6 @@ type BufferSimConfig struct {
 	// reference set is at least P0 cached are demoted on a hint. A
 	// negative P0 disables hints entirely (the baseline).
 	P0 float64
-	// MeanInterarrival is the mean inter-arrival time in seconds.
-	MeanInterarrival float64
 }
 
 func (c *BufferSimConfig) normalize() {
@@ -40,9 +38,6 @@ func (c *BufferSimConfig) normalize() {
 	}
 	if c.CacheBytes <= 0 {
 		c.CacheBytes = 15 << 20
-	}
-	if c.MeanInterarrival <= 0 {
-		c.MeanInterarrival = 1
 	}
 }
 
@@ -208,7 +203,7 @@ func RunBufferSim(db *relation.Database, templates []*workload.Template, cfg Buf
 
 	now := 0.0
 	for i := 0; i < cfg.Queries; i++ {
-		now += rng.ExpFloat64() * cfg.MeanInterarrival
+		now += rng.ExpFloat64() // mean inter-arrival time of one second
 		t := pickWeighted(templates, totalWeight, rng)
 		q := t.Gen(rng)
 		// The cache reports entries under compressed IDs (its lookup key),

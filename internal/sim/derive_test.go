@@ -27,7 +27,7 @@ func TestDrilldownDeriveBeatsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := derive.New(derive.Config{})
+	d := derive.New()
 	derived, _, err := Replay(tr, core.Config{Capacity: capacity, K: 4, Policy: core.LNCRA, Deriver: d})
 	if err != nil {
 		t.Fatal(err)
@@ -54,11 +54,11 @@ func TestReplayDerivedDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	capacity := CacheBytesForFraction(tr, 1)
-	a, _, err := Replay(tr, core.Config{Capacity: capacity, K: 4, Policy: core.LNCRA, Deriver: derive.New(derive.Config{})})
+	a, _, err := Replay(tr, core.Config{Capacity: capacity, K: 4, Policy: core.LNCRA, Deriver: derive.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Replay(tr, core.Config{Capacity: capacity, K: 4, Policy: core.LNCRA, Deriver: derive.New(derive.Config{})})
+	b, _, err := Replay(tr, core.Config{Capacity: capacity, K: 4, Policy: core.LNCRA, Deriver: derive.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestReplayDerivedTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	capacity := CacheBytesForFraction(tr, 1)
 	res, _, err := Replay(tr,
-		core.Config{Capacity: capacity, K: 4, Policy: core.LNCRA, Sink: reg, Deriver: derive.New(derive.Config{})})
+		core.Config{Capacity: capacity, K: 4, Policy: core.LNCRA, Sink: reg, Deriver: derive.New()})
 	if err != nil {
 		t.Fatal(err)
 	}

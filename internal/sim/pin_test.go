@@ -49,9 +49,7 @@ func TestReplayPins(t *testing.T) {
 		return adaptivePin{res.FinalThreshold, res.Rounds, res.Switches, res.Stats}
 	}
 	tpcd := tpcdTrace(t, 3000)
-	_, multi, err := workload.GenerateMulticlass(0, workload.MulticlassConfig{
-		Config: workload.Config{Queries: 3000, Seed: 7},
-	})
+	_, multi, err := workload.GenerateMulticlass(0, workload.Config{Queries: 3000, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

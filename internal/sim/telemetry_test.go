@@ -78,9 +78,7 @@ func TestReplayEquivalenceGoldenTPCD(t *testing.T) {
 // per-class CSR columns must aggregate exactly to the total CSR (the
 // golden value pinned pre-refactor), and every class must be populated.
 func TestReplayMulticlassPerClassCSR(t *testing.T) {
-	_, tr, err := workload.GenerateMulticlass(0, workload.MulticlassConfig{
-		Config: workload.Config{Queries: 4000, Seed: 7},
-	})
+	_, tr, err := workload.GenerateMulticlass(0, workload.Config{Queries: 4000, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,9 +64,7 @@ func TestWhatIfSampledAccuracy(t *testing.T) {
 		t.Skip("brute-force replay grid")
 	}
 	const rate = 8
-	_, tr, err := workload.GenerateMulticlass(0, workload.MulticlassConfig{
-		Config: workload.Config{Queries: 16000, Seed: 1},
-	})
+	_, tr, err := workload.GenerateMulticlass(0, workload.Config{Queries: 16000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

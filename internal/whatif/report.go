@@ -86,9 +86,8 @@ func (m *Matrix) Report(margin float64) Report {
 	rep := Report{SampleRate: m.cfg.SampleRate}
 	rep.RefsSeen, rep.RefsSampled, rep.RefsShed = m.Counts()
 	m.mu.Lock()
-	cells := m.sortedCells()
-	rep.Cells = make([]CellReport, 0, len(cells))
-	for _, c := range cells {
+	rep.Cells = make([]CellReport, 0, len(m.cells))
+	for _, c := range m.cells {
 		rep.Cells = append(rep.Cells, c.report())
 	}
 	m.mu.Unlock()
@@ -110,7 +109,7 @@ func (c *cell) report() CellReport {
 		Scale:        c.scale,
 		ModeledBytes: c.modeled,
 		GhostBytes:   c.ghost,
-		References:   c.refs,
+		References:   st.References,
 		CSR:          st.CostSavingsRatio(),
 		HitRatio:     st.HitRatio(),
 		Stats:        st,
@@ -195,13 +194,12 @@ func advise(baseline string, margin float64, cells []CellReport) Advice {
 // live stream.
 func (m *Matrix) WritePrometheusTo(w io.Writer) {
 	m.mu.Lock()
-	cells := m.sortedCells()
 	type row struct {
 		capacity, policy string
 		csr              float64
 	}
-	rows := make([]row, 0, len(cells))
-	for _, c := range cells {
+	rows := make([]row, 0, len(m.cells))
+	for _, c := range m.cells {
 		rows = append(rows, row{formatScale(c.scale), c.policy.Name, c.cache.Stats().CostSavingsRatio()})
 	}
 	m.mu.Unlock()

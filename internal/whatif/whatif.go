@@ -28,7 +28,7 @@ package whatif
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -110,7 +110,6 @@ type cell struct {
 
 	cache *core.Cache
 	tuner *admission.Tuner // adaptive cells only
-	refs  int64
 }
 
 // Matrix is the ghost-cache grid. It is a core.EventSink through its
@@ -122,7 +121,9 @@ type Matrix struct {
 
 	cfg Config
 
-	mu    sync.Mutex // guards cells (the feed applies, Report reads)
+	mu sync.Mutex // guards cells (the feed applies, Report reads)
+	// cells is ordered policy-major, then by ascending scale: the order
+	// reports, curves and scrapes list them in.
 	cells []*cell
 }
 
@@ -155,16 +156,18 @@ func New(cfg Config) (*Matrix, error) {
 
 	m := &Matrix{cfg: cfg}
 	m.Feed = ghost.NewFeed(cfg.SampleRate, m.apply)
-	for _, scale := range cfg.Scales {
-		if scale <= 0 {
-			return nil, fmt.Errorf("whatif: capacity scale %v must be positive", scale)
-		}
-		modeled := int64(scale * float64(cfg.Base.Capacity))
-		ghostBytes := int64(scale * float64(cfg.Base.Capacity) / float64(cfg.SampleRate))
-		if ghostBytes <= 0 {
-			return nil, fmt.Errorf("whatif: scale %v at sample rate %d leaves no ghost capacity", scale, cfg.SampleRate)
-		}
-		for _, pol := range cfg.Policies {
+	scales := slices.Clone(cfg.Scales)
+	slices.Sort(scales)
+	for _, pol := range cfg.Policies {
+		for _, scale := range scales {
+			if scale <= 0 {
+				return nil, fmt.Errorf("whatif: capacity scale %v must be positive", scale)
+			}
+			modeled := int64(scale * float64(cfg.Base.Capacity))
+			ghostBytes := int64(scale * float64(cfg.Base.Capacity) / float64(cfg.SampleRate))
+			if ghostBytes <= 0 {
+				return nil, fmt.Errorf("whatif: scale %v at sample rate %d leaves no ghost capacity", scale, cfg.SampleRate)
+			}
 			c := &cell{policy: pol, scale: scale, modeled: modeled, ghost: ghostBytes}
 			gcfg := cfg.Base.Ghost(ghostBytes, pol.Kind)
 			if pol.Adaptive {
@@ -241,7 +244,6 @@ func (m *Matrix) apply(o ghost.Op) {
 		switch o.Kind {
 		case ghost.OpRef:
 			c.cache.ReferenceCanonical(req, o.Sig)
-			c.refs++
 		case ghost.OpRestore:
 			c.cache.WarmInsert(req, o.Sig)
 		case ghost.OpInvalidate:
@@ -256,21 +258,4 @@ func (m *Matrix) apply(o ghost.Op) {
 // formatScale renders a capacity-scale label ("0.25x", "1x", "4x").
 func formatScale(scale float64) string {
 	return strconv.FormatFloat(scale, 'g', -1, 64) + "x"
-}
-
-// sortedCells returns the cells ordered by (policy set order, ascending
-// scale) for stable report output.
-func (m *Matrix) sortedCells() []*cell {
-	order := make(map[string]int, len(m.cfg.Policies))
-	for i, p := range m.cfg.Policies {
-		order[p.Name] = i
-	}
-	out := append([]*cell(nil), m.cells...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].policy.Name != out[j].policy.Name {
-			return order[out[i].policy.Name] < order[out[j].policy.Name]
-		}
-		return out[i].scale < out[j].scale
-	})
-	return out
 }

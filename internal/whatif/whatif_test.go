@@ -29,6 +29,39 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestCellsOrderedFromUnsortedLadder checks New orders the cells once,
+// policy-major over the ascending ladder, whatever order Scales lists,
+// and leaves the caller's slice as it was.
+func TestCellsOrderedFromUnsortedLadder(t *testing.T) {
+	scales := []float64{2, 0.5, 1}
+	m, err := New(Config{
+		Base:       baseConfig(),
+		SampleRate: 1,
+		Scales:     scales,
+		Policies:   []Policy{{Name: "lru", Kind: core.LRU}, {Name: "lnc-ra", Kind: core.LNCRA}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	var got []string
+	for _, c := range m.Report(0).Cells {
+		got = append(got, c.Policy+"/"+formatScale(c.Scale))
+	}
+	want := "lru/0.5x lru/1x lru/2x lnc-ra/0.5x lnc-ra/1x lnc-ra/2x"
+	if strings.Join(got, " ") != want {
+		t.Errorf("cells = %v, want %s", got, want)
+	}
+	var prom strings.Builder
+	m.WritePrometheusTo(&prom)
+	if i, j := strings.Index(prom.String(), `capacity="2x",policy="lru"`), strings.Index(prom.String(), `capacity="0.5x",policy="lnc-ra"`); i < 0 || j < 0 || i > j {
+		t.Errorf("scrape order: lru/2x at %d, lnc-ra/0.5x at %d", i, j)
+	}
+	if scales[0] != 2 || scales[1] != 0.5 || scales[2] != 1 {
+		t.Errorf("New reordered the caller's Scales: %v", scales)
+	}
+}
+
 func refEvent(kind core.EventKind, id string, size int64, cost float64, relations ...string) core.Event {
 	return core.Event{Kind: kind, ID: id, Size: size, Cost: cost, Relations: relations}
 }

@@ -48,25 +48,24 @@ func StandardSetQuery(scale float64, cfg Config) (*relation.Database, *trace.Tra
 	return db, tr, nil
 }
 
-// MulticlassConfig parameterizes the multiclass extension workload. §6 of
-// the paper names multiclass streams — several query classes with distinct
+// The shape of the multiclass extension workload's noise class. §6 of the
+// paper names multiclass streams — several query classes with distinct
 // reference characteristics — as the environment where keeping more than
 // the last reference time should pay off most, citing the LRU-K paper's
 // argument: a single reference time cannot tell a genuinely hot set from
 // one that was touched in a short correlated burst and will never return.
-type MulticlassConfig struct {
-	Config
-	// NoiseFraction is the fraction of submissions drawn from the
+const (
+	// multiclassNoise is the fraction of submissions drawn from the
 	// correlated one-shot class: each such query fires a tight burst of
-	// duplicate submissions and then never returns. Zero selects 0.4.
-	NoiseFraction float64
-	// BurstLength is the number of correlated duplicate submissions per
-	// one-shot query (including the first). Zero selects 3.
-	BurstLength int
-	// BurstGap is the mean spacing in seconds between the duplicates of a
-	// burst. Zero selects 2 s.
-	BurstGap float64
-}
+	// duplicate submissions and then never returns.
+	multiclassNoise = 0.4
+	// multiclassBurst is the number of correlated duplicate submissions
+	// per one-shot query (including the first).
+	multiclassBurst = 3
+	// multiclassBurstGap is the mean spacing in seconds between the
+	// duplicates of a burst.
+	multiclassBurstGap = 2.0
+)
 
 // GenerateMulticlass builds a TPC-D-based three-class trace:
 //
@@ -78,21 +77,13 @@ type MulticlassConfig struct {
 //	          return (the noise).
 //
 // Under K = 1 the class-2 bursts look like hot sets at eviction time; with
-// K ≥ BurstLength the K-th most recent reference exposes them as one-shots.
-func GenerateMulticlass(scale float64, cfg MulticlassConfig) (*relation.Database, *trace.Trace, error) {
+// K ≥ multiclassBurst the K-th most recent reference exposes them as
+// one-shots.
+func GenerateMulticlass(scale float64, cfg Config) (*relation.Database, *trace.Trace, error) {
 	if scale <= 0 {
 		scale = TPCDScale
 	}
-	if cfg.NoiseFraction <= 0 {
-		cfg.NoiseFraction = 0.4
-	}
-	if cfg.BurstLength <= 0 {
-		cfg.BurstLength = 3
-	}
-	if cfg.BurstGap <= 0 {
-		cfg.BurstGap = 2
-	}
-	cfg.Config.normalize()
+	cfg.normalize()
 
 	db := relation.TPCD(scale, relation.DefaultPageSize)
 	all := TPCDTemplates(db)
@@ -156,7 +147,7 @@ func GenerateMulticlass(scale float64, cfg MulticlassConfig) (*relation.Database
 
 	for len(tr.Records) < cfg.Queries {
 		now += rng.ExpFloat64() * cfg.MeanInterarrival
-		if rng.Float64() < cfg.NoiseFraction {
+		if rng.Float64() < multiclassNoise {
 			// Correlated one-shot burst from the ad-hoc class.
 			class := classes[2]
 			t := class[rng.Intn(len(class))]
@@ -165,9 +156,9 @@ func GenerateMulticlass(scale float64, cfg MulticlassConfig) (*relation.Database
 			if err != nil {
 				return nil, nil, err
 			}
-			for b := 0; b < cfg.BurstLength && len(tr.Records) < cfg.Queries; b++ {
+			for b := 0; b < multiclassBurst && len(tr.Records) < cfg.Queries; b++ {
 				if b > 0 {
-					now += rng.ExpFloat64() * cfg.BurstGap
+					now += rng.ExpFloat64() * multiclassBurstGap
 				}
 				emit(t, q, 2, m)
 			}

@@ -252,9 +252,7 @@ func TestInterarrivalTimes(t *testing.T) {
 }
 
 func TestMulticlassStructure(t *testing.T) {
-	_, tr, err := GenerateMulticlass(0.005, MulticlassConfig{
-		Config: Config{Queries: 3000, Seed: 13},
-	})
+	_, tr, err := GenerateMulticlass(0.005, Config{Queries: 3000, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}

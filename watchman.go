@@ -183,9 +183,6 @@ func NewAdmissionTuner(cfg AdmissionConfig) (*AdmissionTuner, error) { return ad
 // concurrent front).
 type SemanticDeriver = derive.Deriver
 
-// DeriverConfig parameterizes a SemanticDeriver.
-type DeriverConfig = derive.Config
-
 // PlanDescriptor is the serializable plan summary derivation matches on:
 // one predicated, projected scan of a base relation, optionally grouped
 // and aggregated. Attach one to Request.Plan.
@@ -205,7 +202,7 @@ const OpRange = engine.OpRange
 const AggSum = engine.AggSum
 
 // NewDeriver creates a semantic deriver.
-func NewDeriver(cfg DeriverConfig) *SemanticDeriver { return derive.New(cfg) }
+func NewDeriver() *SemanticDeriver { return derive.New() }
 
 // Item is one retrieved set in the §2.3 offline model.
 type Item = core.Item
