@@ -5,7 +5,6 @@ package watchman
 // regenerate the paper's tables without reaching into internal packages.
 
 import (
-	"repro/internal/experiments"
 	"repro/internal/relation"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -33,13 +32,6 @@ func TPCDTrace(scale float64, cfg WorkloadConfig) (*Trace, error) {
 	return tr, err
 }
 
-// SetQueryTrace generates the paper's Set Query benchmark trace. Scale 0
-// selects the paper's 100 MB database.
-func SetQueryTrace(scale float64, cfg WorkloadConfig) (*Trace, error) {
-	_, tr, err := workload.StandardSetQuery(scale, cfg)
-	return tr, err
-}
-
 // MulticlassTrace generates the three-class TPC-D extension workload with
 // bursty per-class activity (§6 of the paper).
 func MulticlassTrace(scale float64, cfg WorkloadConfig) (*Trace, error) {
@@ -60,18 +52,6 @@ func Replay(tr *Trace, cfg Config) (SimResult, *Cache, error) {
 // database into bytes.
 func CacheBytesForFraction(tr *Trace, pct float64) int64 {
 	return sim.CacheBytesForFraction(tr, pct)
-}
-
-// ExperimentOptions scales the experiment suite; the zero value reproduces
-// the paper's setup.
-type ExperimentOptions = experiments.Options
-
-// ExperimentSuite memoizes traces and runs the paper's figures.
-type ExperimentSuite = experiments.Suite
-
-// NewExperimentSuite creates an experiment suite.
-func NewExperimentSuite(opts ExperimentOptions) *ExperimentSuite {
-	return experiments.NewSuite(opts)
 }
 
 // BufferSimConfig parameterizes the WATCHMAN ↔ buffer-manager cooperation

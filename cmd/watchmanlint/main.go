@@ -11,7 +11,8 @@
 //	go run ./cmd/watchmanlint -list
 //
 // Patterns follow the go tool's shape ("./...", "./internal/...", one
-// directory); no pattern means the whole module. -json emits one JSON
+// directory) and choose whose findings are reported; no pattern means
+// the whole module, which is always what is analyzed. -json emits one JSON
 // array of findings for CI annotation tooling; -list prints the
 // registered analyzers and their one-paragraph docs. Suppressions use
 // `//lint:ignore <analyzer> <justification>` on the offending line or
@@ -44,16 +45,19 @@ func main() {
 		return
 	}
 
-	pkgs, err := analysis.LoadModule(*dir, flag.Args()...)
+	// The whole module is loaded, whatever the patterns select:
+	// unreferenced needs every caller in view.
+	module, err := analysis.LoadModule(*dir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "watchmanlint:", err)
 		os.Exit(2)
 	}
+	pkgs := analysis.Select(module, *dir, flag.Args()...)
 	if len(pkgs) == 0 {
 		fmt.Fprintln(os.Stderr, "watchmanlint: no packages matched")
 		os.Exit(2)
 	}
-	diags, err := analysis.RunAll(pkgs)
+	diags, err := analysis.RunAll(pkgs, module)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "watchmanlint:", err)
 		os.Exit(2)

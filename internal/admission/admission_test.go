@@ -2,7 +2,7 @@ package admission
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -51,15 +51,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Capacity: 0}); err == nil {
 		t.Error("zero capacity must error")
 	}
-	if _, err := New(Config{Capacity: 1 << 20, Grid: []float64{0.5, 2}}); err == nil {
-		t.Error("grid without θ=1 must error")
-	}
-	if _, err := New(Config{Capacity: 1 << 20, Grid: []float64{1, -2}}); err == nil {
-		t.Error("negative grid candidate must error")
-	}
-	if _, err := New(Config{Capacity: 1 << 20, Grid: []float64{1, math.Inf(1)}}); err == nil {
-		t.Error("infinite grid candidate must error")
-	}
 	tu, err := New(Config{Capacity: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
@@ -67,8 +58,8 @@ func TestNewValidation(t *testing.T) {
 	if got := tu.Threshold(); got != 1 {
 		t.Fatalf("initial threshold = %g, want the static LNC-A setting 1", got)
 	}
-	if got := len(tu.Grid()); got != len(DefaultGrid()) {
-		t.Fatalf("default grid has %d candidates, want %d", got, len(DefaultGrid()))
+	if got := len(tu.ArmScores()); got != len(DefaultGrid()) {
+		t.Fatalf("tuner has %d arms, want one per grid candidate (%d)", got, len(DefaultGrid()))
 	}
 }
 
@@ -78,8 +69,8 @@ func TestNewValidation(t *testing.T) {
 // outcome through one static-θ cache.
 func TestShadowMatchesBruteForce(t *testing.T) {
 	const window = 64
-	grid := []float64{0.25, 1, 4}
-	tu, err := New(Config{Capacity: 8192, K: 2, Window: window, Grid: grid})
+	grid := DefaultGrid()
+	tu, err := New(Config{Capacity: 8192, K: 2, Window: window})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +207,7 @@ func TestNewRejectsTinyWindow(t *testing.T) {
 // shadow caches: after invalidating a relation, the shadows cannot keep
 // scoring hits on its sets.
 func TestShadowsHonorInvalidation(t *testing.T) {
-	tu, err := New(Config{Capacity: 1 << 20, K: 2, Window: 16, Grid: []float64{1}})
+	tu, err := New(Config{Capacity: 1 << 20, K: 2, Window: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,15 +219,16 @@ func TestShadowsHonorInvalidation(t *testing.T) {
 		}
 		return tu.Rounds()[0]
 	}
-	if round := ref(16, 1); round.Scores[0].CSR == 0 {
+	one := slices.Index(DefaultGrid(), 1) // the θ=1 arm
+	if round := ref(16, 1); round.Scores[one].CSR == 0 {
 		t.Fatal("repeated references must score shadow hits before invalidation")
 	}
 	tu.Invalidate("r")
 	// After the invalidation the set must be re-fetched once (a miss) in
 	// the shadow before hitting again: strictly fewer window hits than a
 	// shadow that ignored the coherence event (which would hit all 16).
-	if round := ref(16, 100); round.Scores[0].CSR >= 1 {
-		t.Errorf("post-invalidation window CSR = %g, want < 1 (first reference must miss)", round.Scores[0].CSR)
+	if round := ref(16, 100); round.Scores[one].CSR >= 1 {
+		t.Errorf("post-invalidation window CSR = %g, want < 1 (first reference must miss)", round.Scores[one].CSR)
 	}
 }
 
@@ -260,9 +252,6 @@ func TestRecordReportsBacklogPastWindow(t *testing.T) {
 			t.Errorf("round %d scored %d samples, want the window size 16", i+1, r.Samples)
 		}
 	}
-	if _, ok := tu.TuneOnce(); ok {
-		t.Error("TuneOnce scored the empty window left by the last round")
-	}
 	emit(tu, sampleFor("fresh", 100, 10, 49))
 	if got := len(tu.Rounds()); got != 3 {
 		t.Errorf("first outcome after a round left %d rounds, want 3", got)
@@ -271,8 +260,7 @@ func TestRecordReportsBacklogPastWindow(t *testing.T) {
 
 // TestProfileRingOverflow pins the bounded open window: it never holds more
 // than Window samples, it keeps the outcomes after the last round in
-// stream order for TuneOnce and ExportState, a window below the minimum
-// stays open, and the round that fills it empties it.
+// stream order for ExportState, and the round that fills it empties it.
 func TestProfileRingOverflow(t *testing.T) {
 	tu, err := New(Config{Capacity: 1 << 20, Window: 16})
 	if err != nil {
@@ -293,12 +281,6 @@ func TestProfileRingOverflow(t *testing.T) {
 			t.Errorf("sample %d has time %g, want %g (stream order)", i, s.Time, want)
 		}
 	}
-	if _, ok := tu.TuneOnce(); ok {
-		t.Error("TuneOnce scored the 8-sample window below the minimum")
-	}
-	if n := len(tu.ExportState().Samples); n != 8 {
-		t.Errorf("an unscored TuneOnce left %d samples in the window, want 8", n)
-	}
 	for i := 40; i < 48; i++ {
 		emit(tu, sampleFor(fmt.Sprintf("q%d", i), 100, 10, float64(i+1)))
 	}
@@ -307,27 +289,12 @@ func TestProfileRingOverflow(t *testing.T) {
 	}
 }
 
-// TestTuneOnceSkipsTinyWindows ensures a near-empty window cannot publish
-// a parameter from noise.
-func TestTuneOnceSkipsTinyWindows(t *testing.T) {
-	tu, err := New(Config{Capacity: 1 << 20, Window: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < minRoundSamples-1; i++ {
-		emit(tu, sampleFor(fmt.Sprintf("q%d", i), 100, 10, float64(i+1)))
-	}
-	if _, ok := tu.TuneOnce(); ok {
-		t.Error("TuneOnce scored a window below minRoundSamples")
-	}
-}
-
 // TestArmScores pins the /v1/admission arms surface: one entry per grid
 // candidate in grid order, unseeded before any round, and carrying each
 // shadow's cumulative replay standing afterwards.
 func TestArmScores(t *testing.T) {
-	grid := []float64{0.25, 1, 4}
-	tu, err := New(Config{Capacity: 8192, K: 2, Window: 16, Grid: grid})
+	grid := DefaultGrid()
+	tu, err := New(Config{Capacity: 8192, K: 2, Window: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,9 +37,9 @@ func tunedState(t *testing.T) (*Tuner, *TunerState) {
 }
 
 func TestTunerExportRestore(t *testing.T) {
-	src, st := tunedState(t)
-	if len(st.Arms) != len(src.Grid()) {
-		t.Fatalf("exported %d arms for a %d-candidate grid", len(st.Arms), len(src.Grid()))
+	_, st := tunedState(t)
+	if len(st.Arms) != len(DefaultGrid()) {
+		t.Fatalf("exported %d arms for a %d-candidate grid", len(st.Arms), len(DefaultGrid()))
 	}
 	if len(st.Samples) == 0 {
 		t.Fatal("export must carry the open partial window")
@@ -64,10 +64,13 @@ func TestTunerExportRestore(t *testing.T) {
 		t.Fatalf("re-export carries %d samples, want %d", len(re.Samples), len(st.Samples))
 	}
 
-	// The restored samples must be scorable: a synchronous round runs on
-	// them without error (20 samples ≥ the 16-sample minimum).
-	if _, ok := dst.TuneOnce(); !ok {
-		t.Fatal("restored window did not score")
+	// The restored samples count toward the open window: the round closes
+	// once the window's remaining outcomes arrive.
+	for i := len(re.Samples); i < 64; i++ {
+		emit(dst, Sample{ID: "tail", Sig: core.Signature("tail"), Size: 10, Cost: 5, Time: 2000 + float64(i)})
+	}
+	if rounds := dst.Rounds(); len(rounds) != 1 || rounds[0].Samples != 64 {
+		t.Fatalf("rounds after refilling the restored window = %+v, want one of 64 samples", rounds)
 	}
 }
 
@@ -109,14 +112,14 @@ func TestTunerRestorePreconditions(t *testing.T) {
 // TestTunerRestoreGridMismatch: candidates missing from the restored grid
 // are ignored, present ones keep their smoothed scores.
 func TestTunerRestoreGridMismatch(t *testing.T) {
-	dst, err := New(Config{Capacity: 8 << 10, Window: 64, Grid: []float64{0.5, 1, 2}})
+	dst, err := New(Config{Capacity: 8 << 10, Window: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := &TunerState{
 		Theta: 2,
 		Arms: []ArmState{
-			{Theta: 0.25, Score: 0.9, Seeded: true}, // not on the grid: ignored
+			{Theta: 0.3, Score: 0.9, Seeded: true}, // not on the grid: ignored
 			{Theta: 2, Score: 0.7, Seeded: true},
 		},
 	}

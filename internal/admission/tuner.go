@@ -27,12 +27,9 @@ const (
 	// MinWindow is the smallest Config.Window New accepts; callers that
 	// derive a window (e.g. scaling by a sampling rate) clamp against it.
 	MinWindow = 16
-	// minRoundSamples is the smallest window the tuner will score; tiny
-	// windows (e.g. a TuneOnce just after a round) carry no signal.
-	minRoundSamples = MinWindow
 )
 
-// DefaultGrid returns the default log-spaced candidate grid for θ: 13
+// DefaultGrid returns the tuner's log-spaced candidate grid for θ: 13
 // points spanning 2⁻⁶ … 2⁶, symmetric around (and including) the static
 // LNC-A setting θ = 1.
 func DefaultGrid() []float64 {
@@ -58,9 +55,6 @@ type Config struct {
 	// must be at least 16 (smaller windows carry no tuning signal and are
 	// rejected). Zero selects DefaultWindow.
 	Window int
-	// Grid lists the candidate thresholds θ to score. It must contain the
-	// initial threshold 1. Nil selects DefaultGrid.
-	Grid []float64
 }
 
 // CandidateScore is one grid candidate's result in a tuning round.
@@ -148,29 +142,14 @@ func New(cfg Config) (*Tuner, error) {
 	if cfg.Window <= 0 {
 		cfg.Window = DefaultWindow
 	}
-	if cfg.Window < minRoundSamples {
+	if cfg.Window < MinWindow {
 		// A window this small carries no tuning signal: every round would
 		// publish θ from noise.
-		return nil, fmt.Errorf("admission: window %d below the %d-sample minimum", cfg.Window, minRoundSamples)
-	}
-	if cfg.Grid == nil {
-		cfg.Grid = DefaultGrid()
-	}
-	hasOne := false
-	for _, g := range cfg.Grid {
-		if g <= 0 || math.IsInf(g, 0) || math.IsNaN(g) {
-			return nil, fmt.Errorf("admission: grid candidate %g is not a positive finite threshold", g)
-		}
-		if g == 1 {
-			hasOne = true
-		}
-	}
-	if !hasOne {
-		return nil, fmt.Errorf("admission: grid must contain the initial threshold 1")
+		return nil, fmt.Errorf("admission: window %d below the %d-sample minimum", cfg.Window, MinWindow)
 	}
 	t := &Tuner{cfg: cfg, th: NewThreshold(1), window: make([]Sample, 0, cfg.Window)}
 	t.Feed = ghost.NewFeed(1, t.apply)
-	for _, theta := range cfg.Grid {
+	for _, theta := range DefaultGrid() {
 		scfg := core.Config{K: cfg.K}.Ghost(cfg.Capacity, core.LNCRA)
 		scfg.Admitter = NewStaticAdmitter(theta)
 		shadow, err := core.New(scfg)
@@ -192,13 +171,6 @@ func (t *Tuner) Threshold() float64 { return t.th.Load() }
 
 // Window returns the references-per-round window size.
 func (t *Tuner) Window() int { return t.cfg.Window }
-
-// Grid returns a copy of the candidate threshold grid.
-func (t *Tuner) Grid() []float64 {
-	out := make([]float64, len(t.cfg.Grid))
-	copy(out, t.cfg.Grid)
-	return out
-}
 
 // ArmScore is one grid candidate's live shadow-cache standing, read
 // outside a tuning round (the /v1/admission arms section).
@@ -279,20 +251,6 @@ func (a *shadowArm) windowCSR() float64 {
 		return 0
 	}
 	return dSaved / dTotal
-}
-
-// TuneOnce closes the current window early: it drains the feed, then
-// scores the outcomes seen since the last round exactly as a full window
-// would be. ok is false, and the window stays open, when it holds too few
-// outcomes to score.
-func (t *Tuner) TuneOnce() (round Round, ok bool) {
-	t.Drain()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.window) < minRoundSamples {
-		return Round{}, false
-	}
-	return t.round(), true
 }
 
 // round scores the window: fold each shadow's windowed cost savings into

@@ -2,8 +2,9 @@
 // custom analyzers that mechanize the load-bearing invariants earlier
 // PRs established only as prose and tests — accounting honesty on every
 // shard.Load bypass path, encode-outside-locks for snapshots, the
-// allocation-free hit path, replay-deterministic time sourcing, and
-// exhaustive handling of lifecycle event kinds.
+// allocation-free hit path, replay-deterministic time sourcing,
+// exhaustive handling of lifecycle event kinds, and no exported code or
+// config field that only tests reach.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API surface
 // (Analyzer, Pass, Diagnostic) on the standard library alone, because
@@ -57,8 +58,15 @@ type Pass struct {
 	Pkg *types.Package
 	// TypesInfo holds the type-checker's expression and identifier facts.
 	TypesInfo *types.Info
+	// Module is every package of the run, Pkg's included: the non-test
+	// view of the whole tree an analyzer needs to see callers outside
+	// the package it checks.
+	Module []*Package
 
 	diags []Diagnostic
+	// memo holds what analyzers derive from Module, shared by the passes
+	// of one RunAll.
+	memo map[*Analyzer]any
 }
 
 // Report records one finding.
@@ -96,18 +104,27 @@ func All() []*Analyzer {
 		HotPathAlloc,
 		TimeSource,
 		EventExhaustive,
+		Unreferenced,
 	}
 }
 
-// Run executes one analyzer over one loaded package and returns its
-// findings with //lint:ignore suppressions already applied.
-func Run(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
+// Run executes one analyzer over one loaded package of a run's packages
+// and returns its findings with //lint:ignore suppressions already
+// applied.
+func Run(a *Analyzer, pkg *Package, module []*Package) ([]Diagnostic, error) {
+	return run(a, pkg, module, map[*Analyzer]any{})
+}
+
+// run is Run with the memo the passes of one run share.
+func run(a *Analyzer, pkg *Package, module []*Package, memo map[*Analyzer]any) ([]Diagnostic, error) {
 	pass := &Pass{
 		Analyzer:  a,
 		Fset:      pkg.Fset,
 		Files:     pkg.Files,
 		Pkg:       pkg.Types,
 		TypesInfo: pkg.TypesInfo,
+		Module:    module,
+		memo:      memo,
 	}
 	if err := a.Run(pass); err != nil {
 		return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
@@ -126,12 +143,14 @@ func Run(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
 	return diags, nil
 }
 
-// RunAll executes every analyzer in All over every package.
-func RunAll(pkgs []*Package) ([]Diagnostic, error) {
+// RunAll executes every analyzer in All over every package of pkgs, a
+// selection of module: the run's whole view.
+func RunAll(pkgs, module []*Package) ([]Diagnostic, error) {
 	var out []Diagnostic
+	memo := map[*Analyzer]any{}
 	for _, pkg := range pkgs {
 		for _, a := range All() {
-			diags, err := Run(a, pkg)
+			diags, err := run(a, pkg, module, memo)
 			if err != nil {
 				return nil, err
 			}

@@ -33,6 +33,10 @@ func TestEventExhaustive(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), analysis.EventExhaustive, "eventexhaustive/...")
 }
 
+func TestUnreferenced(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(), analysis.Unreferenced, "unreferenced/...")
+}
+
 // TestRepositoryClean runs the whole suite over the module itself: the
 // tree must stay lint-clean, so `go test ./...` is a hard gate even
 // where CI does not invoke cmd/watchmanlint directly.
@@ -47,7 +51,7 @@ func TestRepositoryClean(t *testing.T) {
 	if len(pkgs) == 0 {
 		t.Fatal("no packages loaded from the module root")
 	}
-	diags, err := analysis.RunAll(pkgs)
+	diags, err := analysis.RunAll(pkgs, pkgs)
 	if err != nil {
 		t.Fatalf("running suite: %v", err)
 	}
@@ -77,7 +81,7 @@ func TestAllUniqueAndDocumentedNames(t *testing.T) {
 			t.Errorf("analyzer %q has no Run", a.Name)
 		}
 	}
-	if len(seen) != 5 {
-		t.Errorf("expected 5 registered analyzers, got %d", len(seen))
+	if len(seen) != 6 {
+		t.Errorf("expected 6 registered analyzers, got %d", len(seen))
 	}
 }

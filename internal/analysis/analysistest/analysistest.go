@@ -65,7 +65,7 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, patterns ...string) {
 		t.Fatalf("no fixture packages match %q under %s", patterns, dir)
 	}
 	for _, pkg := range pkgs {
-		diags, err := analysis.Run(a, pkg)
+		diags, err := analysis.Run(a, pkg, pkgs)
 		if err != nil {
 			t.Fatalf("%s: %v", pkg.Path, err)
 		}

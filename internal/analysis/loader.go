@@ -72,21 +72,20 @@ func NewLoader(dir, module string) *Loader {
 }
 
 // LoadModule discovers the module rooted at dir (reading its module path
-// from go.mod) and loads every package matching the patterns. Patterns
-// follow the go tool's shape: "./..." for the whole tree, "./x/..." for a
-// subtree, "./x" for one directory; no pattern means "./...".
-func LoadModule(dir string, patterns ...string) ([]*Package, error) {
+// from go.mod) and loads every package of it.
+func LoadModule(dir string) ([]*Package, error) {
 	module, err := modulePath(filepath.Join(dir, "go.mod"))
 	if err != nil {
 		return nil, err
 	}
-	l := NewLoader(dir, module)
-	return l.Load(patterns...)
+	return NewLoader(dir, module).Load()
 }
 
 // Load discovers the tree's package directories, filters them by the
 // patterns and returns the matching packages type-checked, sorted by
-// import path.
+// import path. Patterns follow the go tool's shape: "./..." for the whole
+// tree, "./x/..." for a subtree, "./x" for one directory; no pattern
+// means "./...".
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -110,6 +109,21 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out, nil
+}
+
+// Select returns the packages of a tree loaded from dir whose directories
+// match the patterns, in the shape Load takes.
+func Select(pkgs []*Package, dir string, patterns ...string) []*Package {
+	if len(patterns) == 0 {
+		return pkgs
+	}
+	var out []*Package
+	for _, pkg := range pkgs {
+		if rel, err := filepath.Rel(dir, pkg.Dir); err == nil && matchAny(filepath.ToSlash(rel), patterns) {
+			out = append(out, pkg)
+		}
+	}
+	return out
 }
 
 // importPath maps a root-relative directory to its import path.

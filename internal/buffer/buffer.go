@@ -6,10 +6,7 @@
 // LRU chain, freeing buffer space faster.
 package buffer
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // PageID identifies a page in the database. The storage layer packs a
 // relation number and a page number into it; the pool treats it as opaque.
@@ -20,7 +17,6 @@ type PageID uint64
 type frame struct {
 	id         PageID
 	prev, next *frame
-	pins       int
 }
 
 // Stats aggregates buffer pool activity counters.
@@ -38,10 +34,6 @@ func (s Stats) HitRatio() float64 {
 	}
 	return float64(s.Hits) / float64(s.Reads)
 }
-
-// ErrNoEvictable is returned when every frame is pinned and a new page
-// cannot be brought in.
-var ErrNoEvictable = errors.New("buffer: all frames pinned")
 
 // Pool is an LRU page buffer pool. It is not safe for concurrent use; the
 // simulator drives it from a single goroutine, matching the paper's
@@ -71,24 +63,8 @@ func NewPool(capacity int) *Pool {
 	return p
 }
 
-// Capacity returns the pool size in pages.
-func (p *Pool) Capacity() int { return p.capacity }
-
-// Len returns the number of buffered pages.
-func (p *Pool) Len() int { return len(p.frames) }
-
 // Stats returns a copy of the activity counters.
 func (p *Pool) Stats() Stats { return p.stats }
-
-// ResetStats zeroes the activity counters without touching pool contents.
-func (p *Pool) ResetStats() { p.stats = Stats{} }
-
-// Contains reports whether the page is currently buffered, without touching
-// recency state or counters.
-func (p *Pool) Contains(id PageID) bool {
-	_, ok := p.frames[id]
-	return ok
-}
 
 func (p *Pool) unlink(f *frame) {
 	f.prev.next = f.next
@@ -110,67 +86,30 @@ func (p *Pool) pushBack(f *frame) {
 	p.tail.prev = f
 }
 
-// evictOne reclaims the least recently used unpinned frame. It returns
-// ErrNoEvictable when every frame is pinned.
-func (p *Pool) evictOne() error {
-	for f := p.tail.prev; f != &p.head; f = f.prev {
-		if f.pins == 0 {
-			p.unlink(f)
-			delete(p.frames, f.id)
-			p.stats.Evictions++
-			return nil
-		}
-	}
-	return ErrNoEvictable
-}
-
 // Read requests the page, faulting it in if absent, and returns whether the
 // request was a hit. On a hit or a fault the page becomes most recently
 // used.
 //
 //watchman:hotpath
-func (p *Pool) Read(id PageID) (hit bool, err error) {
+func (p *Pool) Read(id PageID) (hit bool) {
 	p.stats.Reads++
 	if f, ok := p.frames[id]; ok {
 		p.stats.Hits++
 		p.unlink(f)
 		p.pushFront(f)
-		return true, nil
+		return true
 	}
 	if len(p.frames) >= p.capacity {
-		if err := p.evictOne(); err != nil {
-			p.stats.Reads-- // the request did not complete
-			return false, err
-		}
+		victim := p.tail.prev // the least recently used frame
+		p.unlink(victim)
+		delete(p.frames, victim.id)
+		p.stats.Evictions++
 	}
 	//lint:ignore hotpathalloc the fault path must materialize a frame; the hit path above is allocation-free
 	f := &frame{id: id}
 	p.frames[id] = f
 	p.pushFront(f)
-	return false, nil
-}
-
-// Pin marks the page as unevictable; it must be buffered. Pins nest.
-func (p *Pool) Pin(id PageID) error {
-	f, ok := p.frames[id]
-	if !ok {
-		return fmt.Errorf("buffer: pin of non-resident page %d", id)
-	}
-	f.pins++
-	return nil
-}
-
-// Unpin releases one pin on the page.
-func (p *Pool) Unpin(id PageID) error {
-	f, ok := p.frames[id]
-	if !ok {
-		return fmt.Errorf("buffer: unpin of non-resident page %d", id)
-	}
-	if f.pins == 0 {
-		return fmt.Errorf("buffer: unpin of unpinned page %d", id)
-	}
-	f.pins--
-	return nil
+	return false
 }
 
 // Demote moves the page, if buffered, to the eviction end of the LRU chain.

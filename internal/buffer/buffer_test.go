@@ -8,16 +8,14 @@ import (
 
 func TestPoolBasics(t *testing.T) {
 	p := NewPool(2)
-	if p.Capacity() != 2 || p.Len() != 0 {
+	if p.capacity != 2 || len(p.frames) != 0 {
 		t.Fatal("fresh pool state wrong")
 	}
-	hit, err := p.Read(1)
-	if err != nil || hit {
-		t.Fatalf("first read: hit=%v err=%v", hit, err)
+	if p.Read(1) {
+		t.Fatal("first read hit")
 	}
-	hit, err = p.Read(1)
-	if err != nil || !hit {
-		t.Fatalf("second read must hit: hit=%v err=%v", hit, err)
+	if !p.Read(1) {
+		t.Fatal("second read must hit")
 	}
 	s := p.Stats()
 	if s.Reads != 2 || s.Hits != 1 || s.HitRatio() != 0.5 {
@@ -28,17 +26,15 @@ func TestPoolBasics(t *testing.T) {
 func TestPoolLRUEviction(t *testing.T) {
 	p := NewPool(3)
 	for _, id := range []PageID{1, 2, 3} {
-		if _, err := p.Read(id); err != nil {
-			t.Fatal(err)
-		}
+		p.Read(id)
 	}
 	p.Read(1) // 1 becomes MRU; LRU order now 1,3,2
 	p.Read(4) // evicts 2
-	if p.Contains(2) {
+	if p.contains(2) {
 		t.Fatal("LRU page not evicted")
 	}
 	for _, id := range []PageID{1, 3, 4} {
-		if !p.Contains(id) {
+		if !p.contains(id) {
 			t.Fatalf("page %d unexpectedly evicted", id)
 		}
 	}
@@ -70,10 +66,10 @@ func TestPoolDemote(t *testing.T) {
 	p.Demote(3)
 	// 3 is now the eviction victim despite being most recently used.
 	p.Read(4)
-	if p.Contains(3) {
+	if p.contains(3) {
 		t.Fatal("demoted page must be evicted first")
 	}
-	if !p.Contains(1) || !p.Contains(2) {
+	if !p.contains(1) || !p.contains(2) {
 		t.Fatal("non-demoted pages evicted")
 	}
 	if p.Stats().Demotions != 1 {
@@ -89,72 +85,6 @@ func TestPoolDemoteNonResident(t *testing.T) {
 	}
 }
 
-func TestPoolPinning(t *testing.T) {
-	p := NewPool(2)
-	p.Read(1)
-	p.Read(2)
-	if err := p.Pin(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Pin(2); err != nil {
-		t.Fatal(err)
-	}
-	// Everything pinned: a new page cannot enter.
-	if _, err := p.Read(3); err != ErrNoEvictable {
-		t.Fatalf("err = %v, want ErrNoEvictable", err)
-	}
-	if err := p.Unpin(1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Read(3); err != nil {
-		t.Fatal(err)
-	}
-	if p.Contains(1) {
-		t.Fatal("unpinned page 1 should have been the victim")
-	}
-	if !p.Contains(2) {
-		t.Fatal("pinned page 2 must survive")
-	}
-}
-
-func TestPoolPinErrors(t *testing.T) {
-	p := NewPool(2)
-	if err := p.Pin(5); err == nil {
-		t.Error("pinning a non-resident page must fail")
-	}
-	if err := p.Unpin(5); err == nil {
-		t.Error("unpinning a non-resident page must fail")
-	}
-	p.Read(5)
-	if err := p.Unpin(5); err == nil {
-		t.Error("unpinning an unpinned page must fail")
-	}
-	p.Pin(5)
-	p.Pin(5) // pins nest
-	if err := p.Unpin(5); err != nil {
-		t.Error(err)
-	}
-	if err := p.Unpin(5); err != nil {
-		t.Error(err)
-	}
-	if err := p.Unpin(5); err == nil {
-		t.Error("unbalanced unpin must fail")
-	}
-}
-
-func TestPoolFailedReadNotCounted(t *testing.T) {
-	p := NewPool(1)
-	p.Read(1)
-	p.Pin(1)
-	before := p.Stats().Reads
-	if _, err := p.Read(2); err == nil {
-		t.Fatal("expected ErrNoEvictable")
-	}
-	if p.Stats().Reads != before {
-		t.Fatal("failed reads must not count")
-	}
-}
-
 func TestPoolCapacityPanic(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -164,16 +94,11 @@ func TestPoolCapacityPanic(t *testing.T) {
 	NewPool(0)
 }
 
-func TestPoolResetStats(t *testing.T) {
-	p := NewPool(2)
-	p.Read(1)
-	p.ResetStats()
-	if p.Stats() != (Stats{}) {
-		t.Fatal("stats not reset")
-	}
-	if !p.Contains(1) {
-		t.Fatal("reset must not drop contents")
-	}
+// contains reports whether the page is buffered, without touching
+// recency state or counters.
+func (p *Pool) contains(id PageID) bool {
+	_, ok := p.frames[id]
+	return ok
 }
 
 // modelLRU is a trivial reference implementation: a slice ordered MRU→LRU.
@@ -219,11 +144,7 @@ func TestPoolMatchesReferenceModel(t *testing.T) {
 				model.demote(id)
 				continue
 			}
-			hit, err := pool.Read(id)
-			if err != nil {
-				return false
-			}
-			if hit != model.read(id) {
+			if pool.Read(id) != model.read(id) {
 				return false
 			}
 		}
@@ -248,10 +169,8 @@ func TestPoolNeverExceedsCapacityQuick(t *testing.T) {
 		capacity := int(capRaw%16) + 1
 		p := NewPool(capacity)
 		for _, id := range ids {
-			if _, err := p.Read(PageID(id % 64)); err != nil {
-				return false
-			}
-			if p.Len() > capacity {
+			p.Read(PageID(id % 64))
+			if len(p.frames) > capacity {
 				return false
 			}
 		}

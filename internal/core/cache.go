@@ -3,7 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Config parameterizes a Cache.
@@ -22,16 +23,8 @@ type Config struct {
 	// MetadataOverhead is the space in bytes charged against Capacity for
 	// every entry record, resident or retained. The paper's §2.4 retained-
 	// information policy relies on retained records consuming cache space.
+	//lint:ignore unreferenced the §2.4 charge on retained records; tests pin its accounting until serve gives it a value
 	MetadataOverhead int64
-	// RetainedPruneEvery runs the retained-information pruning pass every
-	// N misses. Zero selects the default (64).
-	RetainedPruneEvery int
-	// RetainedTimeout is the retention period in logical seconds for
-	// policies that prune retained information by age (LRU-K, following
-	// the Five Minute Rule discussion in §2.4). Zero selects the default
-	// of 300 s. LNC-R/LNC-RA ignore it: they prune by the paper's
-	// profit-based rule instead.
-	RetainedTimeout float64
 	// DisableRetainedInfo turns off retained reference information even
 	// for policies that normally keep it (ablation A2).
 	DisableRetainedInfo bool
@@ -41,6 +34,7 @@ type Config struct {
 	// smoothing floor already discounts unreliable young estimates, and
 	// the strict tier loop inverts the paper's Figure 3 trend on TPC-D
 	// (ablation A6; the numbers are in docs/POLICIES.md).
+	//lint:ignore unreferenced ablation A6, the paper's literal Figure-1 loop, run by TestAblationStrictTiers
 	StrictTiers bool
 	// Deriver, if non-nil, is consulted on the miss path with requests
 	// that carry a plan descriptor (Request.Plan): when a cached ancestor
@@ -74,8 +68,16 @@ type Config struct {
 // Unlimited is a Capacity value denoting an effectively infinite cache.
 const Unlimited = math.MaxInt64
 
-// defaultPruneEvery is the retained-info pruning period in misses.
-const defaultPruneEvery = 64
+// Retained-information pruning (§2.4).
+const (
+	// pruneEvery is the pruning period in misses.
+	pruneEvery = 64
+	// retainedTimeout is the retention period in logical seconds for the
+	// policies that prune retained information by age (LRU-K, after the
+	// Five Minute Rule discussion in §2.4). LNC-R/LNC-RA prune by the
+	// paper's profit rule instead.
+	retainedTimeout = 300
+)
 
 // Stats are the cache's cumulative counters. The ratios defined on it are
 // the paper's three performance metrics (§4.1).
@@ -245,12 +247,6 @@ func New(cfg Config) (*Cache, error) {
 	}
 	if cfg.Evictor != ScanEvictor {
 		return nil, fmt.Errorf("core: unknown evictor kind %d", cfg.Evictor)
-	}
-	if cfg.RetainedPruneEvery <= 0 {
-		cfg.RetainedPruneEvery = defaultPruneEvery
-	}
-	if cfg.RetainedTimeout <= 0 {
-		cfg.RetainedTimeout = 300 // the Five Minute Rule, per §2.4
 	}
 	admitter := cfg.Admitter
 	if admitter == nil && cfg.Policy.HasAdmission() {
@@ -592,7 +588,7 @@ func (c *Cache) resolve(e *Entry, req *Request, sig uint64, now float64, allowDe
 	c.missesSincePrune++
 	c.miss(e, id, sig, *req, now, false)
 	c.spanSubmit()
-	if c.missesSincePrune >= c.cfg.RetainedPruneEvery {
+	if c.missesSincePrune >= pruneEvery {
 		c.pruneRetained(now)
 		c.missesSincePrune = 0
 	}
@@ -855,7 +851,7 @@ func (c *Cache) pruneRetained(now float64) {
 	}
 	if c.cfg.Policy == LRUK {
 		for e := range c.retained {
-			if now-e.LastRef() > c.cfg.RetainedTimeout {
+			if now-e.LastRef() > retainedTimeout {
 				delete(c.retained, e)
 				c.indexRemove(e)
 				c.stats.RetainedDropped++
@@ -892,6 +888,9 @@ func (c *Cache) Invalidate(relations ...string) int {
 			}
 		}
 	}
+	// The index is a map: order the victims by ID so the events of one
+	// call come out the same on every run.
+	slices.SortFunc(victims, func(a, b *Entry) int { return strings.Compare(a.ID, b.ID) })
 	dropped := 0
 	for _, e := range victims {
 		wasResident := e.resident
@@ -912,14 +911,6 @@ func (c *Cache) Invalidate(relations ...string) int {
 		}
 	}
 	return dropped
-}
-
-// Entries returns a snapshot of all resident entries, sorted by ID. It is
-// meant for tests and diagnostics, not hot paths.
-func (c *Cache) Entries() []*Entry {
-	out := append([]*Entry(nil), c.ev.residents()...)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // sampleFragmentation records one external-fragmentation sample: the

@@ -44,9 +44,6 @@ func TestNewValidation(t *testing.T) {
 	if c.Config().K != 1 {
 		t.Error("K must default to 1")
 	}
-	if c.Config().RetainedPruneEvery != defaultPruneEvery {
-		t.Error("prune period must default")
-	}
 }
 
 func TestHitMissBasics(t *testing.T) {
@@ -293,7 +290,7 @@ func TestDisableRetainedInfo(t *testing.T) {
 func TestRetainedPruningByProfit(t *testing.T) {
 	// §2.4: retained info is dropped when its profit falls below the least
 	// profit among cached sets.
-	c := newCache(t, Config{Capacity: 400, Policy: LNCRA, K: 2, RetainedPruneEvery: 1})
+	c := newCache(t, Config{Capacity: 400, Policy: LNCRA, K: 2})
 	// A worthless one-shot that gets evicted and retained.
 	c.Reference(req("oneshot", 1, 400, 1))
 	// Hot valuable sets take over the cache.
@@ -302,6 +299,12 @@ func TestRetainedPruningByProfit(t *testing.T) {
 		c.Reference(req("hotA", at, 200, 5000))
 		c.Reference(req("hotB", at+0.5, 200, 5000))
 	}
+	if c.Retained() == 0 {
+		t.Fatal("the evicted one-shot's info must be retained until a pruning pass")
+	}
+	// The next miss runs the pass; the worthless probe it retains goes too.
+	pruneAtNextMiss(c)
+	c.Reference(req("probe", 70, 200, 1))
 	if c.Retained() != 0 {
 		t.Fatalf("retained = %d; the stale one-shot's info must be pruned", c.Retained())
 	}
@@ -312,16 +315,17 @@ func TestRetainedPruningByProfit(t *testing.T) {
 }
 
 func TestLRUKRetainedTimeout(t *testing.T) {
-	c := newCache(t, Config{Capacity: 200, Policy: LRUK, K: 2, RetainedTimeout: 50, RetainedPruneEvery: 1})
+	c := newCache(t, Config{Capacity: 200, Policy: LRUK, K: 2})
 	c.Reference(req("gone", 1, 200, 10))
 	c.Reference(req("stay", 2, 200, 10)) // evicts gone; info retained
 	if c.Retained() != 1 {
 		t.Fatalf("retained = %d, want 1", c.Retained())
 	}
-	c.Reference(req("stay", 60, 200, 10)) // keep stay's info young
-	// Far in the future: "gone" (last reference t=1) times out, while
-	// "stay" (last reference t=60, evicted now) is retained.
-	c.Reference(req("later", 100, 200, 10))
+	c.Reference(req("stay", 360, 200, 10)) // keep stay's info young
+	// Past the 300 s retention period: "gone" (last reference t=1) times
+	// out, while "stay" (last reference t=360, evicted now) is retained.
+	pruneAtNextMiss(c)
+	c.Reference(req("later", 400, 200, 10))
 	if c.Retained() != 1 {
 		t.Fatalf("retained = %d after timeout pass, want 1", c.Retained())
 	}
@@ -336,6 +340,10 @@ func TestLRUKRetainedTimeout(t *testing.T) {
 	}
 	checkInv(t, c)
 }
+
+// pruneAtNextMiss makes the cache's next miss run the retained-information
+// pruning pass, which otherwise runs every pruneEvery misses.
+func pruneAtNextMiss(c *Cache) { c.missesSincePrune = pruneEvery - 1 }
 
 func TestInvalidate(t *testing.T) {
 	c := newCache(t, Config{Capacity: 1000, Policy: LNCRA})

@@ -86,7 +86,7 @@ func (c *Cache) deriveHit(e *Entry, id string, sig uint64, req Request, d Deriva
 	res.Payload = d.Payload
 	c.missesSincePrune++
 	c.miss(e, id, sig, res, now, true)
-	if c.missesSincePrune >= c.cfg.RetainedPruneEvery {
+	if c.missesSincePrune >= pruneEvery {
 		c.pruneRetained(now)
 		c.missesSincePrune = 0
 	}

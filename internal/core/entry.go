@@ -63,10 +63,6 @@ func (rc *rateContext) floor() float64 {
 	return rc.minDt
 }
 
-// Resident reports whether the retrieved set itself is in the cache (true)
-// or only its retained reference information (false).
-func (e *Entry) Resident() bool { return e.resident }
-
 // Refs returns the number of reference times currently recorded, capped at
 // the window size K.
 func (e *Entry) Refs() int { return e.window.count() }

@@ -149,11 +149,6 @@ type loggedEvent struct {
 type eventLog []loggedEvent
 
 func (l *eventLog) Emit(ev Event) {
-	if ev.Kind == EventInvalidate {
-		// Invalidate walks the signature index, a map: the order of one
-		// call's events differs between any two runs. Stats counts them.
-		return
-	}
 	ids := make([]string, len(ev.Victims))
 	for i, v := range ev.Victims {
 		ids[i] = v.ID
@@ -234,7 +229,7 @@ func TestScanEvictorReplayMatchesSortOracle(t *testing.T) {
 	traces := map[string]*trace.Trace{"multiclass": multiclass, "zipf": zipfTrace(1<<13, 12000, 3)}
 	configs := []Config{
 		{K: 4, Policy: LNCRA},
-		{K: 4, Policy: LNCRA, StrictTiers: true, MetadataOverhead: 64, RetainedPruneEvery: 50},
+		{K: 4, Policy: LNCRA, StrictTiers: true, MetadataOverhead: 64},
 		{K: 2, Policy: LRUK},
 		{K: 1, Policy: LCS},
 	}

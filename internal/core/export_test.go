@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/workload"
@@ -148,4 +149,11 @@ func TestExportChunkFenceAndCopy(t *testing.T) {
 			}
 		})
 	}
+}
+
+// Entries returns a snapshot of all resident entries, sorted by ID.
+func (c *Cache) Entries() []*Entry {
+	out := append([]*Entry(nil), c.ev.residents()...)
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
 }

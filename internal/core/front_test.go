@@ -96,7 +96,7 @@ func TestBytesFrontReplayMatchesTwoPassOracle(t *testing.T) {
 	traces := map[string]*trace.Trace{"multiclass": multiclass, "zipf": zipfTrace(1<<13, 12000, 5)}
 	configs := []Config{
 		{K: 4, Policy: LNCRA},
-		{K: 4, Policy: LNCRA, MetadataOverhead: 64, RetainedPruneEvery: 50},
+		{K: 4, Policy: LNCRA, MetadataOverhead: 64},
 		{K: 2, Policy: LRUK},
 		{K: 1, Policy: LRU}, // keeps no retained records: first-sight rejections name the set by the materialized ID alone
 	}

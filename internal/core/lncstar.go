@@ -29,18 +29,6 @@ type Item struct {
 	Size int64
 }
 
-// ExpectedMissCost returns Σ_{i∉I} pᵢcᵢ for the cached index set I, the
-// objective (9) that the optimal replacement minimizes.
-func ExpectedMissCost(items []Item, cached map[int]bool) float64 {
-	var c float64
-	for i, it := range items {
-		if !cached[i] {
-			c += it.Prob * it.Cost
-		}
-	}
-	return c
-}
-
 // ExpectedCostSavings returns Σ_{i∈I} pᵢcᵢ / Σᵢ pᵢcᵢ, the steady-state cost
 // savings ratio of the static cache content I.
 func ExpectedCostSavings(items []Item, cached map[int]bool) float64 {
@@ -123,14 +111,4 @@ func OptimalKnapsack(items []Item, capacity int64) (map[int]bool, error) {
 		}
 	}
 	return out, nil
-}
-
-// PackedExactly reports whether the selection fills the capacity exactly,
-// the eq. (11) regime in which Theorem 1 proves LNC* optimal.
-func PackedExactly(items []Item, selected map[int]bool, capacity int64) bool {
-	var used int64
-	for i := range selected {
-		used += items[i].Size
-	}
-	return used == capacity
 }

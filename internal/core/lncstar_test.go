@@ -228,3 +228,25 @@ func TestLNCStarConvergenceOfOnlineLNCRA(t *testing.T) {
 		t.Fatalf("online LNC-RA steady state %.3f far below offline LNC* %.3f", online, offline)
 	}
 }
+
+// ExpectedMissCost returns Σ_{i∉I} pᵢcᵢ for the cached index set I, the
+// objective (9) that the optimal replacement minimizes.
+func ExpectedMissCost(items []Item, cached map[int]bool) float64 {
+	var c float64
+	for i, it := range items {
+		if !cached[i] {
+			c += it.Prob * it.Cost
+		}
+	}
+	return c
+}
+
+// PackedExactly reports whether the selection fills the capacity exactly,
+// the eq. (11) regime in which Theorem 1 proves LNC* optimal.
+func PackedExactly(items []Item, selected map[int]bool, capacity int64) bool {
+	var used int64
+	for i := range selected {
+		used += items[i].Size
+	}
+	return used == capacity
+}

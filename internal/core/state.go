@@ -107,6 +107,8 @@ func restoreWindow(k int, times []float64, total int64) refWindow {
 // after releasing its lock. It drains one ExportBegin cursor in a single
 // chunk, so entries come out in ascending ID order and two captures of
 // identical caches are identical.
+//
+//lint:ignore unreferenced the materialized oracle: the core, persist, admission and shard tests and the root snapshot test compare the streamed export against it
 func (c *Cache) ExportState() *CacheState {
 	cur := c.ExportBegin()
 	st := cur.Header

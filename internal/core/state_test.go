@@ -202,7 +202,7 @@ func TestRestoreEmitsRestoreEvents(t *testing.T) {
 		switch ev.Kind {
 		case EventRestore:
 			restores++
-			if ev.Entry == nil || !ev.Entry.Resident() {
+			if ev.Entry == nil || !ev.Entry.resident {
 				t.Error("restore event must carry a resident entry")
 			}
 		default:

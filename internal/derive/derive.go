@@ -23,23 +23,10 @@ package derive
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 )
-
-// Stats are the deriver's cumulative counters.
-type Stats struct {
-	// Attempts counts Derive calls that carried a usable descriptor and a
-	// positive remote cost.
-	Attempts int64 `json:"attempts"`
-	// Derived counts successful derivations.
-	Derived int64 `json:"derived"`
-	// Rewrites counts derivations that materialized rows (an ancestor
-	// payload was present), as opposed to bookkeeping-only outcomes.
-	Rewrites int64 `json:"rewrites"`
-}
 
 // candidate is one cached entry the deriver may rewrite against.
 type candidate struct {
@@ -56,24 +43,11 @@ type Deriver struct {
 	// so concurrent misses across shards scan the index in parallel.
 	mu    sync.RWMutex
 	byRel map[string]map[string]*candidate
-
-	attempts atomic.Int64
-	derived  atomic.Int64
-	rewrites atomic.Int64
 }
 
 // New creates an empty deriver.
 func New() *Deriver {
 	return &Deriver{byRel: make(map[string]map[string]*candidate)}
-}
-
-// Stats returns a snapshot of the deriver's counters.
-func (d *Deriver) Stats() Stats {
-	return Stats{
-		Attempts: d.attempts.Load(),
-		Derived:  d.derived.Load(),
-		Rewrites: d.rewrites.Load(),
-	}
 }
 
 // DropRelations removes every indexed candidate over the given base
@@ -88,17 +62,6 @@ func (d *Deriver) DropRelations(relations ...string) {
 	for _, r := range relations {
 		delete(d.byRel, r)
 	}
-}
-
-// Candidates returns the number of cached entries currently indexed.
-func (d *Deriver) Candidates() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	n := 0
-	for _, rel := range d.byRel {
-		n += len(rel)
-	}
-	return n
 }
 
 // Emit maintains the candidate index off the cache lifecycle stream:
@@ -165,7 +128,6 @@ func (d *Deriver) Derive(req core.Request) (core.Derivation, bool) {
 	if !ok || desc == nil || req.Cost <= 0 {
 		return core.Derivation{}, false
 	}
-	d.attempts.Add(1)
 
 	m := engine.NewMatcher(desc)
 	d.mu.RLock()
@@ -198,13 +160,11 @@ func (d *Deriver) Derive(req core.Request) (core.Derivation, bool) {
 		}
 		out.Payload = res
 		out.Size = res.Bytes()
-		d.rewrites.Add(1)
 	}
 	if out.Size <= 0 {
 		// Without a payload or a request size there is nothing coherent
 		// to account; decline.
 		return core.Derivation{}, false
 	}
-	d.derived.Add(1)
 	return out, true
 }

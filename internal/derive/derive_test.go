@@ -33,19 +33,19 @@ func TestDeriverIndexFollowsLifecycle(t *testing.T) {
 	anc := descScan(0, 40)
 	c.Reference(core.Request{QueryID: "anc", Time: 1, Size: 4096, Cost: 500,
 		Relations: []string{"fact"}, Plan: anc})
-	if got := d.Candidates(); got != 1 {
+	if got := d.candidates(); got != 1 {
 		t.Fatalf("after admission: %d candidates, want 1", got)
 	}
 
 	// A plan-free admission is not indexed.
 	c.Reference(core.Request{QueryID: "noplan", Time: 2, Size: 64, Cost: 500})
-	if got := d.Candidates(); got != 1 {
+	if got := d.candidates(); got != 1 {
 		t.Fatalf("after plan-free admission: %d candidates, want 1", got)
 	}
 
 	// Invalidation drops the candidate.
 	c.Invalidate("fact")
-	if got := d.Candidates(); got != 0 {
+	if got := d.candidates(); got != 0 {
 		t.Fatalf("after invalidation: %d candidates, want 0", got)
 	}
 }
@@ -57,15 +57,15 @@ func TestDropRelations(t *testing.T) {
 		Relations: []string{"fact"}, Plan: descScan(0, 40)})
 	c.Reference(core.Request{QueryID: "b", Time: 2, Size: 64, Cost: 100,
 		Relations: []string{"fact"}, Plan: descScan(0, 50)})
-	if got := d.Candidates(); got != 2 {
+	if got := d.candidates(); got != 2 {
 		t.Fatalf("candidates = %d, want 2", got)
 	}
 	d.DropRelations("other")
-	if got := d.Candidates(); got != 2 {
+	if got := d.candidates(); got != 2 {
 		t.Fatalf("dropping an unrelated relation removed candidates: %d", got)
 	}
 	d.DropRelations("fact")
-	if got := d.Candidates(); got != 0 {
+	if got := d.candidates(); got != 0 {
 		t.Fatalf("candidates after DropRelations = %d, want 0", got)
 	}
 	if _, ok := d.Derive(core.Request{QueryID: "c", Size: 32, Cost: 100, Plan: descScan(5, 10)}); ok {
@@ -100,11 +100,6 @@ func TestDeriveBookkeeping(t *testing.T) {
 	if st.CostTotal != 900 {
 		t.Fatalf("CostTotal = %g, want 900", st.CostTotal)
 	}
-	// Two attempts: the ancestor's own miss consulted the (empty) deriver
-	// too; one derivation.
-	if ds := d.Stats(); ds.Derived != 1 || ds.Attempts != 2 {
-		t.Fatalf("deriver stats = %+v, want 2 attempts, 1 derived", ds)
-	}
 
 	// The derived set was admitted at residual cost: a repeat of the same
 	// query is now an exact hit saving the full remote cost.
@@ -117,8 +112,8 @@ func TestDeriveBookkeeping(t *testing.T) {
 	if st.Hits != 1 || st.DerivedHits != 1 {
 		t.Fatalf("after repeat: Hits=%d DerivedHits=%d, want 1/1", st.Hits, st.DerivedHits)
 	}
-	if entries := c.Entries(); len(entries) != 2 {
-		t.Fatalf("resident entries = %d, want 2 (ancestor + derived set)", len(entries))
+	if n := c.Resident(); n != 2 {
+		t.Fatalf("resident entries = %d, want 2 (ancestor + derived set)", n)
 	}
 }
 
@@ -193,7 +188,15 @@ func TestDeriveMaterializesPayload(t *testing.T) {
 			}
 		}
 	}
-	if ds := d.Stats(); ds.Rewrites != 1 {
-		t.Fatalf("Rewrites = %d, want 1", ds.Rewrites)
+}
+
+// candidates returns the number of cached entries currently indexed.
+func (d *Deriver) candidates() int {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	n := 0
+	for _, rel := range d.byRel {
+		n += len(rel)
 	}
+	return n
 }

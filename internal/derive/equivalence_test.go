@@ -34,9 +34,6 @@ func miniDB() *relation.Database {
 			},
 		},
 	}
-	if err := db.Validate(); err != nil {
-		panic(err)
-	}
 	return db
 }
 
@@ -55,7 +52,7 @@ func mustExec(t testing.TB, eng *engine.Engine, n engine.Node) *engine.Result {
 // execution, row for row.
 func assertEquivalent(t *testing.T, eng *engine.Engine, anc, q *engine.Descriptor) {
 	t.Helper()
-	if !engine.Subsumes(anc, q) {
+	if !engine.NewMatcher(q).Subsumes(anc) {
 		t.Fatalf("Subsumes(%+v, %+v) = false, want true", anc, q)
 	}
 	ancRes := mustExec(t, eng, anc.Plan())
@@ -308,7 +305,7 @@ func FuzzRewriteEquivalence(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < 8; i++ {
 			anc, q := randomPair(rng)
-			if !engine.Subsumes(anc, q) {
+			if !engine.NewMatcher(q).Subsumes(anc) {
 				continue
 			}
 			assertEquivalent(t, eng, anc, q)

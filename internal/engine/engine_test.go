@@ -35,9 +35,6 @@ func tinyDB() *relation.Database {
 			},
 		},
 	}
-	if err := db.Validate(); err != nil {
-		panic(err)
-	}
 	return db
 }
 
@@ -464,4 +461,12 @@ func TestExecuteUnknownNode(t *testing.T) {
 	if _, err := e.EmitAccess(nil, 0, &storage.CountingSink{}); err == nil {
 		t.Fatal("nil node must error in access")
 	}
+}
+
+// ExecuteCount runs the plan and returns the result together with its cost
+// in logical block reads.
+func (e *Engine) ExecuteCount(n Node) (*Result, int64, error) {
+	var c storage.CountingSink
+	res, err := e.Execute(n, &c)
+	return res, c.N, err
 }

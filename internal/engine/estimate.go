@@ -58,9 +58,6 @@ func New(db *relation.Database) *Engine {
 	return &Engine{db: db}
 }
 
-// DB returns the engine's database.
-func (e *Engine) DB() *relation.Database { return e.db }
-
 // Estimate computes the analytic estimate for the plan.
 func (e *Engine) Estimate(n Node) (Est, error) {
 	switch t := n.(type) {

@@ -47,14 +47,6 @@ func (e *Engine) Execute(n Node, sink storage.PageSink) (*Result, error) {
 	}
 }
 
-// ExecuteCount runs the plan and returns the result together with its cost
-// in logical block reads.
-func (e *Engine) ExecuteCount(n Node) (*Result, int64, error) {
-	var c storage.CountingSink
-	res, err := e.Execute(n, &c)
-	return res, c.N, err
-}
-
 // Pager returns the engine's pager, creating it on first use.
 func (e *Engine) Pager() *storage.Pager {
 	if e.pager == nil {

@@ -9,7 +9,7 @@ import (
 
 // This file implements the semantic derivation rules: deciding whether a
 // query described by one Descriptor can be answered exactly from the
-// materialized result of another (Subsumes), and performing that rewrite
+// materialized result of another (Matcher.Subsumes), and performing that rewrite
 // over the cached rows (Rewrite). Three rules are supported:
 //
 //	R1 re-filter:  scan ← scan       residual predicates + projection
@@ -318,20 +318,14 @@ func analyzeWith(anc, q *Descriptor, qa *queryAnalysis) (*derivationPlan, bool) 
 	}
 }
 
-// Subsumes reports whether the query described by q can be answered
-// exactly from the materialized result of anc: same relation, anc's
-// predicates no stricter than q's, residual predicates re-checkable on
-// anc's output, and q's outputs recoverable (projection, group-by roll-up
-// or re-aggregation of detail rows).
-func Subsumes(anc, q *Descriptor) bool {
-	_, ok := analyze(anc, q)
-	return ok
-}
-
-// Matcher amortizes the query-side half of Subsumes across candidates:
-// one miss is tested against every cached descriptor of a relation, and
-// re-normalizing the query's predicates per candidate would dominate the
-// scan.
+// Matcher decides containment: whether the query described by q can be
+// answered exactly from the materialized result of a cached descriptor
+// anc — same relation, anc's predicates no stricter than q's, residual
+// predicates re-checkable on anc's output, and q's outputs recoverable
+// (projection, group-by roll-up or re-aggregation of detail rows). It
+// analyzes the query once: one miss is tested against every cached
+// descriptor of a relation, and re-normalizing the query's predicates per
+// candidate would dominate the scan.
 type Matcher struct {
 	q  *Descriptor
 	qa *queryAnalysis
@@ -343,7 +337,6 @@ func NewMatcher(q *Descriptor) *Matcher {
 }
 
 // Subsumes reports whether the matcher's query is derivable from anc.
-// It is equivalent to Subsumes(anc, q).
 func (m *Matcher) Subsumes(anc *Descriptor) bool {
 	_, ok := analyzeWith(anc, m.q, m.qa)
 	return ok

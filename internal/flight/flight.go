@@ -23,18 +23,17 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Default configuration values.
+// Default configuration values, and the fixed ring sizes.
 const (
 	// DefaultSampleEvery is the default span sampling ratio: one in N.
 	DefaultSampleEvery = 64
 	// DefaultSlowThreshold is the default always-capture threshold for
 	// slow spans.
 	DefaultSlowThreshold = 10 * time.Millisecond
-	// DefaultSpanBuffer is the default per-shard span ring capacity.
-	DefaultSpanBuffer = 256
-	// DefaultDecisionBuffer is the default per-shard decision ring
-	// capacity.
-	DefaultDecisionBuffer = 512
+	// spanBuffer is the per-shard span ring capacity.
+	spanBuffer = 256
+	// decisionBuffer is the per-shard decision ring capacity.
+	decisionBuffer = 512
 )
 
 // Config parameterizes a Recorder. The zero value selects every default.
@@ -46,12 +45,6 @@ type Config struct {
 	// exceeds it, regardless of sampling. Zero selects
 	// DefaultSlowThreshold; negative disables the slow log.
 	SlowThreshold time.Duration
-	// SpanBuffer is the per-shard span ring capacity (zero selects
-	// DefaultSpanBuffer).
-	SpanBuffer int
-	// DecisionBuffer is the per-shard decision ring capacity (zero selects
-	// DefaultDecisionBuffer).
-	DecisionBuffer int
 	// Registry, if non-nil, receives per-stage latency observations from
 	// every span (sampled or not) via ObserveStage.
 	Registry *telemetry.Registry
@@ -187,8 +180,6 @@ func (s *shardRecorder) Emit(ev core.Event) {
 type Recorder struct {
 	sampleEvery int
 	slowNanos   int64
-	spanBuf     int
-	decBuf      int
 	registry    *telemetry.Registry
 
 	// seq orders decision records across shards.
@@ -208,16 +199,8 @@ func New(cfg Config) *Recorder {
 	if cfg.SlowThreshold == 0 {
 		cfg.SlowThreshold = DefaultSlowThreshold
 	}
-	if cfg.SpanBuffer <= 0 {
-		cfg.SpanBuffer = DefaultSpanBuffer
-	}
-	if cfg.DecisionBuffer <= 0 {
-		cfg.DecisionBuffer = DefaultDecisionBuffer
-	}
 	r := &Recorder{
 		sampleEvery: cfg.SampleEvery,
-		spanBuf:     cfg.SpanBuffer,
-		decBuf:      cfg.DecisionBuffer,
 		registry:    cfg.Registry,
 	}
 	if cfg.SlowThreshold > 0 {
@@ -248,8 +231,8 @@ func (r *Recorder) shard(i int) *shardRecorder {
 	for j := len(cur); j <= i; j++ {
 		grown[j] = &shardRecorder{
 			rec:   r,
-			spans: make([]core.Span, r.spanBuf),
-			decs:  make([]Decision, r.decBuf),
+			spans: make([]core.Span, spanBuffer),
+			decs:  make([]Decision, decisionBuffer),
 		}
 	}
 	r.shards.Store(&grown)
@@ -327,20 +310,4 @@ func (r *Recorder) LastDecision(id string) (Decision, bool) {
 		s.mu.Unlock()
 	}
 	return best, found
-}
-
-// Decisions returns up to limit decision records, newest first. limit ≤ 0
-// returns all.
-func (r *Recorder) Decisions(limit int) []Decision {
-	var out []Decision
-	for _, s := range r.all() {
-		s.mu.Lock()
-		out = append(out, s.decs[:s.decCount]...)
-		s.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq > out[j].Seq })
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	return out
 }

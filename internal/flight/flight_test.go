@@ -2,6 +2,7 @@ package flight
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -17,7 +18,7 @@ func span(id string, start, total int64) core.Span {
 // TestSamplingRatio checks one-in-N capture: 1000 spans at SampleEvery 10
 // must land exactly 100 in the ring.
 func TestSamplingRatio(t *testing.T) {
-	r := New(Config{SampleEvery: 10, SlowThreshold: -1, SpanBuffer: 2048})
+	r := New(Config{SampleEvery: 10, SlowThreshold: -1})
 	tr := r.ShardTracer(0)
 	for i := 0; i < 1000; i++ {
 		tr.ObserveSpan(span(fmt.Sprint(i), int64(i), 1))
@@ -29,7 +30,7 @@ func TestSamplingRatio(t *testing.T) {
 
 // TestSampleEveryOne captures every span.
 func TestSampleEveryOne(t *testing.T) {
-	r := New(Config{SampleEvery: 1, SlowThreshold: -1, SpanBuffer: 64})
+	r := New(Config{SampleEvery: 1, SlowThreshold: -1})
 	tr := r.ShardTracer(0)
 	for i := 0; i < 50; i++ {
 		tr.ObserveSpan(span(fmt.Sprint(i), int64(i), 1))
@@ -42,7 +43,7 @@ func TestSampleEveryOne(t *testing.T) {
 // TestSlowAlwaysCaptured checks spans at or above the slow threshold are
 // captured regardless of the sampling ratio.
 func TestSlowAlwaysCaptured(t *testing.T) {
-	r := New(Config{SampleEvery: 1000000, SlowThreshold: time.Microsecond, SpanBuffer: 64})
+	r := New(Config{SampleEvery: 1000000, SlowThreshold: time.Microsecond})
 	tr := r.ShardTracer(0)
 	for i := 0; i < 10; i++ {
 		tr.ObserveSpan(span("fast", int64(i), 10)) // 10 ns: below threshold
@@ -60,21 +61,22 @@ func TestSlowAlwaysCaptured(t *testing.T) {
 // TestRingWraparound checks the span ring keeps the newest records once
 // full, and Spans orders newest first.
 func TestRingWraparound(t *testing.T) {
-	r := New(Config{SampleEvery: 1, SlowThreshold: -1, SpanBuffer: 4})
+	r := New(Config{SampleEvery: 1, SlowThreshold: -1})
 	tr := r.ShardTracer(0)
-	for i := 0; i < 10; i++ {
+	const n = spanBuffer + 6
+	for i := 0; i < n; i++ {
 		tr.ObserveSpan(span(fmt.Sprint(i), int64(i), 1))
 	}
 	spans := r.Spans(0)
-	if len(spans) != 4 {
-		t.Fatalf("ring holds %d spans, want 4", len(spans))
+	if len(spans) != spanBuffer {
+		t.Fatalf("ring holds %d spans, want %d", len(spans), spanBuffer)
 	}
-	for i, want := range []string{"9", "8", "7", "6"} {
-		if spans[i].ID != want {
-			t.Errorf("spans[%d] = %q, want %q (newest first)", i, spans[i].ID, want)
+	for i := range spans {
+		if want := fmt.Sprint(n - 1 - i); spans[i].ID != want {
+			t.Fatalf("spans[%d] = %q, want %q (newest first)", i, spans[i].ID, want)
 		}
 	}
-	if limited := r.Spans(2); len(limited) != 2 || limited[0].ID != "9" {
+	if limited := r.Spans(2); len(limited) != 2 || limited[0].ID != fmt.Sprint(n-1) {
 		t.Errorf("Spans(2) = %+v", limited)
 	}
 }
@@ -143,17 +145,18 @@ func TestDecisionsAndLastDecision(t *testing.T) {
 
 // TestDecisionRing checks the decision ring is bounded and keeps newest.
 func TestDecisionRing(t *testing.T) {
-	r := New(Config{DecisionBuffer: 4})
+	r := New(Config{})
 	sink := r.ShardSink(0)
-	for i := 0; i < 10; i++ {
+	const n = decisionBuffer + 6
+	for i := 0; i < n; i++ {
 		sink.Emit(decisionEvent(core.EventMissRejected, fmt.Sprint(i), float64(i)))
 	}
 	decs := r.Decisions(0)
-	if len(decs) != 4 {
-		t.Fatalf("ring holds %d decisions, want 4", len(decs))
+	if len(decs) != decisionBuffer {
+		t.Fatalf("ring holds %d decisions, want %d", len(decs), decisionBuffer)
 	}
-	if decs[0].ID != "9" || decs[3].ID != "6" {
-		t.Errorf("decisions = %+v, want 9..6", decs)
+	if decs[0].ID != fmt.Sprint(n-1) || decs[len(decs)-1].ID != "6" {
+		t.Errorf("decisions run %s..%s, want %d..6", decs[0].ID, decs[len(decs)-1].ID, n-1)
 	}
 	if _, ok := r.LastDecision("0"); ok {
 		t.Error("overwritten decision must no longer be found")
@@ -175,7 +178,7 @@ func TestShardIsolation(t *testing.T) {
 // TestConcurrentWritersAndReaders hammers the rings from many goroutines;
 // run with -race.
 func TestConcurrentWritersAndReaders(t *testing.T) {
-	r := New(Config{SampleEvery: 2, SlowThreshold: -1, SpanBuffer: 32, DecisionBuffer: 32})
+	r := New(Config{SampleEvery: 2, SlowThreshold: -1})
 	var wg sync.WaitGroup
 	for s := 0; s < 4; s++ {
 		wg.Add(1)
@@ -266,4 +269,20 @@ func TestRegretBounded(t *testing.T) {
 	if tr.Tracked() != 2 {
 		t.Errorf("tracked = %d, want 2 (bounded)", tr.Tracked())
 	}
+}
+
+// Decisions returns up to limit decision records, newest first. limit ≤ 0
+// returns all.
+func (r *Recorder) Decisions(limit int) []Decision {
+	var out []Decision
+	for _, s := range r.all() {
+		s.mu.Lock()
+		out = append(out, s.decs[:s.decCount]...)
+		s.mu.Unlock()
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Seq > out[j].Seq })
+	if limit > 0 && len(out) > limit {
+		out = out[:limit]
+	}
+	return out
 }

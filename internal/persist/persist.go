@@ -102,19 +102,6 @@ type Snapshot struct {
 	Admission *admission.TunerState
 }
 
-// Resident returns the total resident entries across shards.
-func (s *Snapshot) Resident() int {
-	n := 0
-	for _, sh := range s.Shards {
-		for i := range sh.Entries {
-			if sh.Entries[i].Resident {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // sectionWriter accumulates one section's payload with string interning.
 // The interning scheme matches the trace codec's dictWriter (0 introduces
 // a string inline, n>0 references the (n−1)-th interned one), but the two
@@ -241,34 +228,6 @@ func writeAdmission(w *sectionWriter, st *admission.TunerState) {
 			w.str(r)
 		}
 	}
-}
-
-// Write encodes the snapshot to w in the WMSNAP format. It is a
-// materialized-state convenience over StreamWriter — the two paths share
-// every encoding step, so their output is byte-identical.
-func Write(w io.Writer, snap *Snapshot) error {
-	sw, err := NewStreamWriter(w, len(snap.Shards), snap.Clock)
-	if err != nil {
-		return err
-	}
-	defer sw.Close() // releases the pooled encoder on error paths
-	for _, sh := range snap.Shards {
-		if err := sw.BeginShard(sh); err != nil {
-			return err
-		}
-		if err := sw.WriteEntries(sh.Entries); err != nil {
-			return err
-		}
-		if err := sw.EndShard(); err != nil {
-			return err
-		}
-	}
-	if snap.Admission != nil {
-		if err := sw.WriteAdmission(snap.Admission); err != nil {
-			return err
-		}
-	}
-	return sw.Close()
 }
 
 // sectionReader decodes one section's payload, sharing the stream-wide

@@ -3,6 +3,7 @@ package persist
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -224,4 +225,31 @@ func TestSingleCacheRoundTrip(t *testing.T) {
 	if freshTuner.Threshold() != tuner.Threshold() {
 		t.Fatalf("restored θ %g, want %g", freshTuner.Threshold(), tuner.Threshold())
 	}
+}
+
+// Write encodes a materialized snapshot to w in the WMSNAP format through
+// StreamWriter, one whole shard at a time.
+func Write(w io.Writer, snap *Snapshot) error {
+	sw, err := NewStreamWriter(w, len(snap.Shards), snap.Clock)
+	if err != nil {
+		return err
+	}
+	defer sw.Close() // releases the pooled encoder on error paths
+	for _, sh := range snap.Shards {
+		if err := sw.BeginShard(sh); err != nil {
+			return err
+		}
+		if err := sw.WriteEntries(sh.Entries); err != nil {
+			return err
+		}
+		if err := sw.EndShard(); err != nil {
+			return err
+		}
+	}
+	if snap.Admission != nil {
+		if err := sw.WriteAdmission(snap.Admission); err != nil {
+			return err
+		}
+	}
+	return sw.Close()
 }

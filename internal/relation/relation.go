@@ -152,19 +152,6 @@ func (r *Relation) Value(row int64, col int) int64 {
 	}
 }
 
-// Row materializes the tuple at the given row index into dst, growing it as
-// needed, and returns it. Row indices run from 0 to Rows−1.
-func (r *Relation) Row(row int64, dst []int64) []int64 {
-	if cap(dst) < len(r.Columns) {
-		dst = make([]int64, len(r.Columns))
-	}
-	dst = dst[:len(r.Columns)]
-	for i := range r.Columns {
-		dst[i] = r.Value(row, i)
-	}
-	return dst
-}
-
 // Cardinality returns the number of distinct values of the column.
 func (r *Relation) Cardinality(col int) int64 {
 	c := &r.Columns[col]
@@ -197,15 +184,6 @@ func (d *Database) Bytes() int64 {
 	return total
 }
 
-// Pages returns the total number of data pages in the database.
-func (d *Database) Pages() int64 {
-	var total int64
-	for _, r := range d.Relations {
-		total += r.Pages(d.PageSize)
-	}
-	return total
-}
-
 // Relation returns the named relation or an error.
 func (d *Database) Relation(name string) (*Relation, error) {
 	r, ok := d.Relations[name]
@@ -232,49 +210,4 @@ func (d *Database) RelationNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Validate checks structural consistency of the database metadata.
-func (d *Database) Validate() error {
-	if d.PageSize < 512 {
-		return fmt.Errorf("database %s: page size %d too small", d.Name, d.PageSize)
-	}
-	for name, r := range d.Relations {
-		if name != r.Name {
-			return fmt.Errorf("database %s: relation keyed %q but named %q", d.Name, name, r.Name)
-		}
-		if r.Rows <= 0 {
-			return fmt.Errorf("relation %s: non-positive row count %d", r.Name, r.Rows)
-		}
-		if len(r.Columns) == 0 {
-			return fmt.Errorf("relation %s: no columns", r.Name)
-		}
-		seen := make(map[string]bool, len(r.Columns))
-		for _, c := range r.Columns {
-			if c.Name == "" {
-				return fmt.Errorf("relation %s: column with empty name", r.Name)
-			}
-			if seen[c.Name] {
-				return fmt.Errorf("relation %s: duplicate column %q", r.Name, c.Name)
-			}
-			seen[c.Name] = true
-			if c.Width <= 0 {
-				return fmt.Errorf("relation %s: column %s has non-positive width", r.Name, c.Name)
-			}
-			if c.Kind != KindSequential && c.Cardinality <= 0 {
-				return fmt.Errorf("relation %s: column %s has non-positive cardinality", r.Name, c.Name)
-			}
-			if c.Kind == KindForeign {
-				parent, ok := d.Relations[c.Parent]
-				if !ok {
-					return fmt.Errorf("relation %s: column %s references unknown relation %q", r.Name, c.Name, c.Parent)
-				}
-				if c.Cardinality != parent.Rows {
-					return fmt.Errorf("relation %s: column %s cardinality %d != parent %s rows %d",
-						r.Name, c.Name, c.Cardinality, c.Parent, parent.Rows)
-				}
-			}
-		}
-	}
-	return nil
 }

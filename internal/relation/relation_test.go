@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -9,7 +10,7 @@ import (
 func TestTPCDSchemaValid(t *testing.T) {
 	for _, sf := range []float64{0.001, 0.03, 1} {
 		db := TPCD(sf, 0)
-		if err := db.Validate(); err != nil {
+		if err := db.validate(); err != nil {
 			t.Fatalf("SF %g: %v", sf, err)
 		}
 		if db.PageSize != DefaultPageSize {
@@ -21,10 +22,16 @@ func TestTPCDSchemaValid(t *testing.T) {
 	}
 }
 
+func TestWarehouseSchemaValid(t *testing.T) {
+	if err := Warehouse(0.05, 0).validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSetQuerySchemaValid(t *testing.T) {
 	for _, scale := range []float64{0.001, 0.5, 1} {
 		db := SetQuery(scale, 0)
-		if err := db.Validate(); err != nil {
+		if err := db.validate(); err != nil {
 			t.Fatalf("scale %g: %v", scale, err)
 		}
 	}
@@ -213,52 +220,52 @@ func TestValidateCatchesCorruption(t *testing.T) {
 
 	db := mk()
 	db.Relations["orders"].Rows = 0
-	if err := db.Validate(); err == nil {
+	if err := db.validate(); err == nil {
 		t.Error("zero rows must fail")
 	}
 
 	db = mk()
 	db.Relations["orders"].Columns[0].Width = 0
-	if err := db.Validate(); err == nil {
+	if err := db.validate(); err == nil {
 		t.Error("zero width must fail")
 	}
 
 	db = mk()
 	db.Relations["orders"].Columns = append(db.Relations["orders"].Columns,
 		Column{Name: "o_orderkey", Kind: KindUniform, Cardinality: 2, Width: 4})
-	if err := db.Validate(); err == nil {
+	if err := db.validate(); err == nil {
 		t.Error("duplicate column must fail")
 	}
 
 	db = mk()
 	db.Relations["orders"].Columns[1].Parent = "nonexistent"
-	if err := db.Validate(); err == nil {
+	if err := db.validate(); err == nil {
 		t.Error("dangling foreign key must fail")
 	}
 
 	db = mk()
 	db.Relations["orders"].Columns[1].Cardinality = 1
-	if err := db.Validate(); err == nil {
+	if err := db.validate(); err == nil {
 		t.Error("foreign key cardinality mismatch must fail")
 	}
 
 	db = mk()
 	db.PageSize = 16
-	if err := db.Validate(); err == nil {
+	if err := db.validate(); err == nil {
 		t.Error("tiny page size must fail")
 	}
 
 	db = mk()
 	db.Relations["misnamed"] = db.Relations["orders"]
 	delete(db.Relations, "orders")
-	if err := db.Validate(); err == nil {
+	if err := db.validate(); err == nil {
 		t.Error("key/name mismatch must fail")
 	}
 }
 
 func TestScaleClamping(t *testing.T) {
 	db := TPCD(1e-9, 0) // everything clamps to ≥ 1 row
-	if err := db.Validate(); err != nil {
+	if err := db.validate(); err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range db.RelationNames() {
@@ -280,4 +287,71 @@ func TestValueBoundsQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
+}
+
+// Row materializes the tuple at the given row index into dst, growing it as
+// needed, and returns it. Row indices run from 0 to Rows−1.
+func (r *Relation) Row(row int64, dst []int64) []int64 {
+	if cap(dst) < len(r.Columns) {
+		dst = make([]int64, len(r.Columns))
+	}
+	dst = dst[:len(r.Columns)]
+	for i := range r.Columns {
+		dst[i] = r.Value(row, i)
+	}
+	return dst
+}
+
+// Pages returns the total number of data pages in the database.
+func (d *Database) Pages() int64 {
+	var total int64
+	for _, r := range d.Relations {
+		total += r.Pages(d.PageSize)
+	}
+	return total
+}
+
+// validate checks structural consistency of the database metadata.
+func (d *Database) validate() error {
+	if d.PageSize < 512 {
+		return fmt.Errorf("database %s: page size %d too small", d.Name, d.PageSize)
+	}
+	for name, r := range d.Relations {
+		if name != r.Name {
+			return fmt.Errorf("database %s: relation keyed %q but named %q", d.Name, name, r.Name)
+		}
+		if r.Rows <= 0 {
+			return fmt.Errorf("relation %s: non-positive row count %d", r.Name, r.Rows)
+		}
+		if len(r.Columns) == 0 {
+			return fmt.Errorf("relation %s: no columns", r.Name)
+		}
+		seen := make(map[string]bool, len(r.Columns))
+		for _, c := range r.Columns {
+			if c.Name == "" {
+				return fmt.Errorf("relation %s: column with empty name", r.Name)
+			}
+			if seen[c.Name] {
+				return fmt.Errorf("relation %s: duplicate column %q", r.Name, c.Name)
+			}
+			seen[c.Name] = true
+			if c.Width <= 0 {
+				return fmt.Errorf("relation %s: column %s has non-positive width", r.Name, c.Name)
+			}
+			if c.Kind != KindSequential && c.Cardinality <= 0 {
+				return fmt.Errorf("relation %s: column %s has non-positive cardinality", r.Name, c.Name)
+			}
+			if c.Kind == KindForeign {
+				parent, ok := d.Relations[c.Parent]
+				if !ok {
+					return fmt.Errorf("relation %s: column %s references unknown relation %q", r.Name, c.Name, c.Parent)
+				}
+				if c.Cardinality != parent.Rows {
+					return fmt.Errorf("relation %s: column %s cardinality %d != parent %s rows %d",
+						r.Name, c.Name, c.Cardinality, c.Parent, parent.Rows)
+				}
+			}
+		}
+	}
+	return nil
 }

@@ -21,10 +21,9 @@ func TestAdmissionEndpointDisabled(t *testing.T) {
 }
 
 func TestAdmissionEndpointEnabled(t *testing.T) {
-	// Window larger than the test traffic: no async round fires, so the
-	// synchronous TuneOnce below is the only drain and the history
-	// assertion cannot race a background goroutine.
-	tuner, err := admission.New(admission.Config{Capacity: 1 << 20, K: 2, Window: 1024})
+	// The window is the test traffic: its last reference closes the one
+	// round, and the drain below orders the history read after it.
+	tuner, err := admission.New(admission.Config{Capacity: 1 << 20, K: 2, Window: 80})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +48,8 @@ func TestAdmissionEndpointEnabled(t *testing.T) {
 	if resp.Threshold != 1 {
 		t.Errorf("initial threshold = %g, want 1", resp.Threshold)
 	}
-	if resp.Window != 1024 {
-		t.Errorf("window = %d, want 1024", resp.Window)
+	if resp.Window != 80 {
+		t.Errorf("window = %d, want 80", resp.Window)
 	}
 	if len(resp.Grid) != len(admission.DefaultGrid()) {
 		t.Errorf("grid has %d candidates, want %d", len(resp.Grid), len(admission.DefaultGrid()))
@@ -64,7 +63,7 @@ func TestAdmissionEndpointEnabled(t *testing.T) {
 			QueryID: "select q" + string(rune('a'+i%10)), Size: 256, Cost: 100,
 		})
 	}
-	tuner.TuneOnce()
+	tuner.Drain()
 	if code := getJSON(t, ts.URL+"/v1/admission", &resp); code != 200 {
 		t.Fatalf("GET /v1/admission = %d, want 200", code)
 	}

@@ -338,7 +338,7 @@ func (s *Server) handleAdmission(w http.ResponseWriter, r *http.Request) {
 		Enabled:   true,
 		Threshold: tuner.Threshold(),
 		Window:    tuner.Window(),
-		Grid:      tuner.Grid(),
+		Grid:      admission.DefaultGrid(),
 		Arms:      tuner.ArmScores(),
 		Rounds:    tuner.Rounds(),
 	})

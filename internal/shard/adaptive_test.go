@@ -68,11 +68,11 @@ func TestAdaptiveConcurrentPublishRead(t *testing.T) {
 			}
 		}(w)
 	}
-	// Concurrent parameter readers and an extra synchronous tuning driver,
-	// racing against the rounds the traffic closes on the feed's worker.
+	// Concurrent parameter readers, racing against the rounds the traffic
+	// closes on the feed's worker.
 	var rg sync.WaitGroup
 	stop := make(chan struct{})
-	rg.Add(2)
+	rg.Add(1)
 	go func() {
 		defer rg.Done()
 		for {
@@ -83,12 +83,6 @@ func TestAdaptiveConcurrentPublishRead(t *testing.T) {
 				_ = tuner.Threshold()
 				_ = tuner.Rounds()
 			}
-		}
-	}()
-	go func() {
-		defer rg.Done()
-		for i := 0; i < 50; i++ {
-			tuner.TuneOnce()
 		}
 	}()
 	wg.Wait()
@@ -124,10 +118,9 @@ func TestShardedTunerNilByDefault(t *testing.T) {
 // followers and leader misses) and checks references reach the tuner's
 // feed so serving traffic can tune at all.
 func TestAdaptiveLoadPathRecords(t *testing.T) {
-	// Window larger than the traffic: no round closes on its own, so the
-	// TuneOnce below drains the feed and scores every reference, and the
-	// assertion is deterministic.
-	tuner, err := admission.New(admission.Config{Capacity: 1 << 18, K: 2, Window: 1024})
+	// The window is the traffic: the 40th reference closes the one round,
+	// so every reference must have reached the feed.
+	tuner, err := admission.New(admission.Config{Capacity: 1 << 18, K: 2, Window: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,12 +141,9 @@ func TestAdaptiveLoadPathRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	round, ok := tuner.TuneOnce()
-	if !ok {
-		t.Fatal("TuneOnce found no samples after 40 Load references")
-	}
-	if round.Samples != 40 {
-		t.Errorf("tuning round drained %d samples, want all 40 Load references", round.Samples)
+	tuner.Drain()
+	if rounds := tuner.Rounds(); len(rounds) != 1 || rounds[0].Samples != 40 {
+		t.Errorf("tuning rounds %+v, want one round of all 40 Load references", rounds)
 	}
 }
 
@@ -209,9 +199,7 @@ func TestInvalidationReachesShadowsInStreamOrder(t *testing.T) {
 	for i := 0; i < 19; i++ {
 		s.Reference(x)
 	}
-	if _, ok := tuner.TuneOnce(); !ok {
-		t.Fatal("TuneOnce declined the 20-reference window")
-	}
+	tuner.Drain()
 	live := s.Stats().CostSavingsRatio()
 	if live != 0.9 {
 		t.Fatalf("live CSR %v, want 0.9", live)
@@ -244,7 +232,7 @@ func TestCloseStopsFeeds(t *testing.T) {
 		return n
 	}
 	cfg := core.Config{Capacity: 1 << 18, K: 2, Policy: core.LNCRA}
-	tuner, err := admission.New(admission.Config{Capacity: cfg.Capacity, K: 2, Window: 1024})
+	tuner, err := admission.New(admission.Config{Capacity: cfg.Capacity, K: 2, Window: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,9 +257,8 @@ func TestCloseStopsFeeds(t *testing.T) {
 	}
 	s.Close()
 
-	round, ok := tuner.TuneOnce()
-	if !ok || round.Samples != 100 {
-		t.Errorf("TuneOnce after Close = %+v, %v; want the 100 references queued before it", round, ok)
+	if rounds := tuner.Rounds(); len(rounds) != 1 || rounds[0].Samples != 100 {
+		t.Errorf("rounds after Close = %+v; want one round of the 100 references queued before it", rounds)
 	}
 	if th := tuner.Threshold(); th <= 0 {
 		t.Errorf("threshold %g after Close", th)

@@ -21,6 +21,7 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -60,6 +61,7 @@ type Config struct {
 	Cache core.Config
 	// Loader, if non-nil, enables the Load path with singleflight miss
 	// coalescing.
+	//lint:ignore unreferenced the README's Load-through API: library callers set it through the root package's ShardedConfig
 	Loader Loader
 	// Deriver, if non-nil, enables semantic derivation: every shard's
 	// cache consults it on the Reference miss path, where the request
@@ -190,6 +192,9 @@ type Sharded struct {
 
 	loaderCalls atomic.Int64
 	coalesced   atomic.Int64
+	// offset (float64 bits) is added to now: Restore sets it so the time
+	// source continues the snapshot's logical clock.
+	offset atomic.Uint64
 }
 
 // WallClock returns a time source that maps wall time to core's logical
@@ -287,10 +292,11 @@ func (s *Sharded) NumShards() int { return len(s.shards) }
 // shardFor routes a signature to its shard.
 func (s *Sharded) shardFor(sig uint64) *shard { return s.shards[sig&s.mask] }
 
-// timestamp resolves a request time: zero means "now" per the time source.
+// timestamp resolves a request time: zero means "now" per the time source,
+// on the timeline the last Restore anchored it to.
 func (s *Sharded) timestamp(t float64) float64 {
 	if t == 0 {
-		return s.now()
+		return s.now() + math.Float64frombits(s.offset.Load())
 	}
 	return t
 }
@@ -349,6 +355,7 @@ func (s *Sharded) accountExternal(sh *shard, req core.Request) {
 // Time is replaced by the time source.
 //
 //watchman:accounted
+//lint:ignore unreferenced the README's Load-through API: library callers reach it through the root package's Sharded
 func (s *Sharded) Load(req core.Request) (payload any, hit bool, err error) {
 	if s.loader == nil {
 		// A misconfigured front never consulted the cache: nothing was
@@ -561,17 +568,6 @@ func (s *Sharded) Stats() Stats {
 	return out
 }
 
-// ShardStats returns each shard's own counters, for balance diagnostics.
-func (s *Sharded) ShardStats() []core.Stats {
-	out := make([]core.Stats, len(s.shards))
-	for i, sh := range s.shards {
-		sh.mu.Lock()
-		out[i] = sh.cache.Stats()
-		sh.mu.Unlock()
-	}
-	return out
-}
-
 // Resident returns the total number of cached retrieved sets.
 func (s *Sharded) Resident() int {
 	n := 0
@@ -609,7 +605,7 @@ func (s *Sharded) Capacity() int64 {
 // Close stops the feed workers New started — the admission tuner's and
 // the what-if matrix's — once the events already queued have reached the
 // θ shadows and the ghosts. The cache stays usable and the tuner keeps
-// its published θ and answers TuneOnce, Threshold and ArmScores; only the
+// its published θ and answers Threshold, Rounds and ArmScores; only the
 // observers stop learning, so a graceful shutdown can Close before its
 // final snapshot flush. Idempotent, and a no-op without either observer.
 func (s *Sharded) Close() {
@@ -619,19 +615,6 @@ func (s *Sharded) Close() {
 	if s.whatif != nil {
 		s.whatif.Close()
 	}
-}
-
-// Clock returns the largest logical time any shard has seen.
-func (s *Sharded) Clock() float64 {
-	var max float64
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		if t := sh.cache.Clock(); t > max {
-			max = t
-		}
-		sh.mu.Unlock()
-	}
-	return max
 }
 
 // CheckInvariants verifies every shard's internal consistency and that no

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -45,7 +46,7 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // entries, the shard lock held only per-chunk and released while the
 // chunk is encoded. Entries touched between a shard's chunks surface as
 // either their pre-export or post-mutation state, and the output is
-// byte-identical to persist.Write over the shards' core ExportState
+// byte-identical to encoding the shards' core ExportState whole
 // whenever the cache is quiescent (see docs/PERSISTENCE.md, "Streaming
 // capture & consistency"). Shards are visited one at a time, so the
 // capture is per-shard consistent, not globally consistent — references
@@ -179,7 +180,9 @@ func (s *Sharded) Restore(r io.Reader) (RestoreReport, error) {
 		return rep, fmt.Errorf("shard: snapshot captured %d shards but this cache has %d; restart with -shards %d (or discard the snapshot)",
 			len(snap.Shards), len(s.shards), len(snap.Shards))
 	}
+	anchor := snap.Clock // the meta clock may trail a shard's under live capture
 	for i, sh := range s.shards {
+		anchor = max(anchor, snap.Shards[i].Clock)
 		sh.mu.Lock()
 		sr, err := sh.cache.RestoreState(snap.Shards[i])
 		sh.mu.Unlock()
@@ -191,6 +194,11 @@ func (s *Sharded) Restore(r io.Reader) (RestoreReport, error) {
 		rep.DemotedResident += sr.DemotedResident
 		rep.Dropped += sr.Dropped
 	}
+	// The time source restarts with the process; anchor it on the
+	// snapshot's clock, so a request stamped now lands the time elapsed
+	// since this restore after the last restored reference, not before
+	// it (where every shard would clamp it to its restored clock).
+	s.offset.Store(math.Float64bits(anchor - s.now()))
 	if snap.Admission != nil && s.tuner != nil {
 		if err := s.tuner.RestoreState(snap.Admission); err != nil {
 			return rep, err

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -14,6 +15,8 @@ import (
 	"repro/internal/admission"
 	"repro/internal/core"
 	"repro/internal/persist"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // drive pushes deterministic traffic through the sharded cache.
@@ -43,16 +46,73 @@ func snapCfg(tuner *admission.Tuner) Config {
 	}
 }
 
-func newTuner(t *testing.T) *admission.Tuner {
+// newTuner returns a tuner whose rounds close every window references.
+// Outcomes past the feed's FIFO are shed under a burst, so a test asks
+// for a round only of traffic well past one window.
+func newTuner(t *testing.T, window int) *admission.Tuner {
 	t.Helper()
-	// The window exceeds the traffic the tests drive, so the shard layer
-	// never fires an async tuning round: the tests run TuneOnce
-	// synchronously and the captures stay deterministic.
-	tn, err := admission.New(admission.Config{Capacity: 128 << 10, Window: 1 << 20})
+	tn, err := admission.New(admission.Config{Capacity: 128 << 10, Window: window})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tn
+}
+
+// TestRestoreContinuesClock is the restart check for the time source: a
+// TPC-D replay at 1 % cache stamped by the cache's own clock (every
+// request Time 0), snapshotted at its midpoint and restored into a cache
+// whose clock restarts at zero, must score the second half as the
+// uninterrupted replay does. Without re-anchoring, every restored shard
+// clamps the restarted clock to the snapshot's, and the second half runs
+// on a frozen timeline.
+func TestRestoreContinuesClock(t *testing.T) {
+	_, tr, err := workload.StandardTPCD(0.005, workload.Config{Queries: 4000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var now float64 // the replay's wall time: the current record's time
+	cfg := func(origin float64) Config {
+		return Config{
+			Shards: 4,
+			Cache:  core.Config{Capacity: tr.DatabaseBytes / 100, K: 4, Policy: core.LNCRA},
+			Now:    func() float64 { return now - origin },
+		}
+	}
+	replay := func(s *Sharded, recs []trace.Record) {
+		for i := range recs {
+			r := &recs[i]
+			now = r.Time
+			s.Reference(core.Request{QueryID: r.QueryID, Class: r.Class, Size: r.Size, Cost: r.Cost, Relations: r.Relations})
+		}
+	}
+	csrSince := func(s *Sharded, before core.Stats) float64 {
+		after := s.Stats().Stats
+		return (after.CostSaved - before.CostSaved) / (after.CostTotal - before.CostTotal)
+	}
+	first, second := tr.Records[:len(tr.Records)/2], tr.Records[len(tr.Records)/2:]
+
+	whole := newSharded(t, cfg(0))
+	replay(whole, first)
+	mid := whole.Stats().Stats
+	var snap bytes.Buffer
+	if _, err := whole.StreamSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	replay(whole, second)
+	want := csrSince(whole, mid)
+
+	// The restarted process's clock reads zero when it restores.
+	restart := first[len(first)-1].Time
+	restarted := newSharded(t, cfg(restart))
+	now = restart
+	if _, err := restarted.Restore(&snap); err != nil {
+		t.Fatal(err)
+	}
+	base := restarted.Stats().Stats
+	replay(restarted, second)
+	if got := csrSince(restarted, base); math.Abs(got-want) > 0.001 {
+		t.Errorf("second-half CSR after the restart %.4f, uninterrupted %.4f", got, want)
+	}
 }
 
 // TestShardedSnapshotRestoreBitIdentical is the acceptance check:
@@ -60,11 +120,12 @@ func newTuner(t *testing.T) *admission.Tuner {
 // bit-identical residency, the exact per-shard Stats partition, and the
 // published admission θ.
 func TestShardedSnapshotRestoreBitIdentical(t *testing.T) {
-	tuner := newTuner(t)
+	tuner := newTuner(t, 1000)
 	src := newSharded(t, snapCfg(tuner))
 	drive(src, 42, 6000)
-	if _, ok := tuner.TuneOnce(); !ok {
-		t.Fatal("tuning round did not score")
+	tuner.Drain()
+	if len(tuner.Rounds()) == 0 {
+		t.Fatal("6000 references closed no tuning round")
 	}
 	theta := tuner.Threshold()
 
@@ -84,7 +145,7 @@ func TestShardedSnapshotRestoreBitIdentical(t *testing.T) {
 		t.Fatal("two snapshots of a quiesced cache differ")
 	}
 
-	restoredTuner := newTuner(t)
+	restoredTuner := newTuner(t, 1000)
 	dst := newSharded(t, snapCfg(restoredTuner))
 	rep, err := dst.Restore(bytes.NewReader(raw))
 	if err != nil {
@@ -98,7 +159,7 @@ func TestShardedSnapshotRestoreBitIdentical(t *testing.T) {
 	}
 
 	// Bit-identical residency and Stats partition, shard by shard.
-	srcStats, dstStats := src.ShardStats(), dst.ShardStats()
+	srcStats, dstStats := shardStats(src), shardStats(dst)
 	for i := range srcStats {
 		if srcStats[i] != dstStats[i] {
 			t.Fatalf("shard %d stats differ:\n  src %+v\n  dst %+v", i, srcStats[i], dstStats[i])
@@ -348,4 +409,15 @@ func TestSnapshotUnderConcurrentTraffic(t *testing.T) {
 	if err := src.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// shardStats returns each shard's own counters.
+func shardStats(s *Sharded) []core.Stats {
+	out := make([]core.Stats, len(s.shards))
+	for i, sh := range s.shards {
+		sh.mu.Lock()
+		out[i] = sh.cache.Stats()
+		sh.mu.Unlock()
+	}
+	return out
 }

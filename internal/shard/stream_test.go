@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -37,22 +38,47 @@ func exportState(s *Sharded) *persist.Snapshot {
 	return snap
 }
 
+// writeState encodes a materialized snapshot whole shard by whole shard.
+func writeState(w io.Writer, snap *persist.Snapshot) error {
+	sw, err := persist.NewStreamWriter(w, len(snap.Shards), snap.Clock)
+	if err != nil {
+		return err
+	}
+	for _, sh := range snap.Shards {
+		if err := sw.BeginShard(sh); err != nil {
+			return err
+		}
+		if err := sw.WriteEntries(sh.Entries); err != nil {
+			return err
+		}
+		if err := sw.EndShard(); err != nil {
+			return err
+		}
+	}
+	if snap.Admission != nil {
+		if err := sw.WriteAdmission(snap.Admission); err != nil {
+			return err
+		}
+	}
+	return sw.Close()
+}
+
 // TestStreamSnapshotMatchesWrite is the byte-equivalence acceptance check
 // for the streaming path: on a quiesced cache, StreamSnapshot must emit
-// exactly the bytes of the materialize-then-encode path (persist.Write
-// over the per-shard core.ExportState), with the admission section
-// present.
+// exactly the bytes of the materialize-then-encode path (the per-shard
+// core.ExportState encoded whole), with the admission section present.
 func TestStreamSnapshotMatchesWrite(t *testing.T) {
 	t.Run("locked", func(t *testing.T) {
-		tuner := newTuner(t)
+		tuner := newTuner(t, 1000)
 		s := newSharded(t, snapCfg(tuner))
 		drive(s, 7, 5000)
-		if _, ok := tuner.TuneOnce(); !ok {
-			t.Fatal("tuning round did not score")
+		tuner.Drain()
+		if len(tuner.Rounds()) == 0 {
+			t.Fatal("5000 references closed no tuning round")
 		}
 
 		var want bytes.Buffer
-		if err := persist.Write(&want, exportState(s)); err != nil {
+		if err := writeState(&want, exportState(s)); err != nil {
 			t.Fatal(err)
 		}
 		var got bytes.Buffer
@@ -61,7 +87,7 @@ func TestStreamSnapshotMatchesWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(want.Bytes(), got.Bytes()) {
-			t.Fatalf("streamed snapshot differs from persist.Write(ExportState()): %d vs %d bytes",
+			t.Fatalf("streamed snapshot differs from the encoded ExportState: %d vs %d bytes",
 				got.Len(), want.Len())
 		}
 		if info.Bytes != int64(got.Len()) {
@@ -176,7 +202,7 @@ func TestSnapshotHammer(t *testing.T) {
 		wg.Wait()
 
 		for i, raw := range captures {
-			restoredTuner := newTuner(t)
+			restoredTuner := newTuner(t, 1<<12)
 			dst := newSharded(t, snapCfg(restoredTuner))
 			if _, err := dst.Restore(bytes.NewReader(raw)); err != nil {
 				t.Fatalf("capture %d does not restore: %v", i, err)

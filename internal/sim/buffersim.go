@@ -235,9 +235,6 @@ func RunBufferSim(db *relation.Database, templates []*workload.Template, cfg Buf
 			if err != nil {
 				return result, err
 			}
-			if sink.Err != nil {
-				return result, sink.Err
-			}
 			result.PageReferences += n
 			if !qi.executed {
 				qi.executed = true

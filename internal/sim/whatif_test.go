@@ -27,18 +27,21 @@ func TestWhatIfGhostFidelityRate1(t *testing.T) {
 		K:        4,
 		Policy:   core.LNCRA,
 	}
-	res, rep, err := ReplayWhatIf(tr, cfg, whatif.Config{
-		SampleRate: 1,
-		Scales:     []float64{1},
-		Policies:   []whatif.Policy{{Name: "lnc-ra", Kind: core.LNCRA}},
-	})
+	res, rep, err := ReplayWhatIf(tr, cfg, whatif.Config{SampleRate: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.RefsSeen != int64(tr.Len()) || rep.RefsShed != 0 {
 		t.Fatalf("matrix saw %d refs (shed %d), trace has %d", rep.RefsSeen, rep.RefsShed, tr.Len())
 	}
-	ghost := rep.Cells[0]
+	// Every cell is an independent ghost fed the same ops; the lnc-ra 1x
+	// cell is the real cache's twin.
+	var ghost whatif.CellReport
+	for _, c := range rep.Cells {
+		if c.Policy == "lnc-ra" && c.Scale == 1 {
+			ghost = c
+		}
+	}
 	if ghost.Stats != res.Stats {
 		t.Errorf("rate-1 ghost diverged from the real cache:\n ghost %+v\n real  %+v", ghost.Stats, res.Stats)
 	}

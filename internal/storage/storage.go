@@ -34,23 +34,14 @@ type CountingSink struct {
 // Reference increments the counter.
 func (c *CountingSink) Reference(buffer.PageID) { c.N++ }
 
-// PoolSink feeds references into a buffer pool, recording faults.
+// PoolSink feeds references into a buffer pool.
 type PoolSink struct {
 	// Pool is the destination buffer pool.
 	Pool *buffer.Pool
-	// Err holds the first error returned by the pool, if any.
-	Err error
 }
 
 // Reference reads the page through the pool.
-func (s *PoolSink) Reference(id buffer.PageID) {
-	if s.Err != nil {
-		return
-	}
-	if _, err := s.Pool.Read(id); err != nil {
-		s.Err = err
-	}
-}
+func (s *PoolSink) Reference(id buffer.PageID) { s.Pool.Read(id) }
 
 // Pager assigns each relation a dense ID and packs (relation, page) pairs
 // into buffer.PageID values. Page numbers are local to their relation.
@@ -83,9 +74,6 @@ func NewPager(db *relation.Database) *Pager {
 	return p
 }
 
-// DB returns the database the pager was built over.
-func (p *Pager) DB() *relation.Database { return p.db }
-
 // PageID packs a relation name and relation-local page number. It panics on
 // unknown relations or out-of-range pages: both indicate a bug in plan
 // construction, not runtime input.
@@ -98,20 +86,6 @@ func (p *Pager) PageID(rel string, page int64) buffer.PageID {
 		panic(fmt.Sprintf("storage: relation %s: page %d out of range [0,%d)", rel, page, p.pages[id]))
 	}
 	return buffer.PageID(id<<pageBits | uint64(page))
-}
-
-// Decode unpacks a PageID into its relation name and page number.
-func (p *Pager) Decode(id buffer.PageID) (rel string, page int64, err error) {
-	relID := uint64(id) >> pageBits
-	if relID >= uint64(len(p.relNames)) {
-		return "", 0, fmt.Errorf("storage: page ID %d has unknown relation %d", id, relID)
-	}
-	page = int64(uint64(id) & (1<<pageBits - 1))
-	rel = p.relNames[int(relID)]
-	if page >= p.pages[relID] {
-		return "", 0, fmt.Errorf("storage: page ID %d out of range for relation %s", id, rel)
-	}
-	return rel, page, nil
 }
 
 // Pages returns the number of pages of the named relation.

@@ -96,8 +96,8 @@ func (m *Matrix) Report(margin float64) Report {
 	if rep.RefsSeen > 0 {
 		rep.SampledRatio = float64(rep.RefsSampled) / float64(rep.RefsSeen)
 	}
-	rep.Curves = curves(m.cfg.Policies, rep.Cells)
-	rep.Advisor = advise(m.cfg.Baseline, margin, rep.Cells)
+	rep.Curves = curves(DefaultPolicies(), rep.Cells)
+	rep.Advisor = advise(m.baseline, margin, rep.Cells)
 	return rep
 }
 

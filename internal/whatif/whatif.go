@@ -28,7 +28,6 @@ package whatif
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"sync"
 
@@ -84,21 +83,11 @@ type Config struct {
 	// ghosts whose capacities are scaled by 1/R. Zero selects
 	// DefaultSampleRate; 1 replays everything at full scale.
 	SampleRate int
-	// Scales is the capacity ladder as multiples of Base.Capacity. Nil
-	// selects DefaultScales.
-	Scales []float64
-	// Policies is the policy axis. Nil selects DefaultPolicies.
-	Policies []Policy
 	// TuneWindow is the tuning-round window of adaptive ghosts, counted
 	// in sampled references. Zero scales the admission default by 1/R so
 	// adaptive ghosts re-tune at the same wall-clock cadence as a live
 	// tuner would (floor 16).
 	TuneWindow int
-	// Baseline names the policy the advisor measures against; its
-	// scale-1 cell models the live configuration. Empty selects the
-	// policy whose Kind matches Base.Policy (first match, non-adaptive
-	// preferred), else the first policy.
-	Baseline string
 }
 
 // cell is one ghost configuration: a (scale, policy) grid point.
@@ -120,6 +109,9 @@ type Matrix struct {
 	*ghost.Feed
 
 	cfg Config
+	// baseline names the policy the advisor measures against; its
+	// scale-1 cell models the live configuration.
+	baseline string
 
 	mu sync.Mutex // guards cells (the feed applies, Report reads)
 	// cells is ordered policy-major, then by ascending scale: the order
@@ -139,30 +131,15 @@ func New(cfg Config) (*Matrix, error) {
 	if cfg.Base.Capacity <= 0 || cfg.Base.Capacity == core.Unlimited {
 		return nil, fmt.Errorf("whatif: base capacity must be finite and positive")
 	}
-	if cfg.Scales == nil {
-		cfg.Scales = DefaultScales()
-	}
-	if cfg.Policies == nil {
-		cfg.Policies = DefaultPolicies()
-	}
 	if cfg.TuneWindow == 0 {
 		cfg.TuneWindow = max(16, admission.DefaultWindow/cfg.SampleRate)
 	}
-	if cfg.Baseline == "" {
-		cfg.Baseline = baselinePolicy(cfg.Base.Policy, cfg.Policies)
-	} else if _, err := findPolicy(cfg.Baseline, cfg.Policies); err != nil {
-		return nil, err
-	}
 
-	m := &Matrix{cfg: cfg}
+	policies := DefaultPolicies()
+	m := &Matrix{cfg: cfg, baseline: baselinePolicy(cfg.Base.Policy, policies)}
 	m.Feed = ghost.NewFeed(cfg.SampleRate, m.apply)
-	scales := slices.Clone(cfg.Scales)
-	slices.Sort(scales)
-	for _, pol := range cfg.Policies {
-		for _, scale := range scales {
-			if scale <= 0 {
-				return nil, fmt.Errorf("whatif: capacity scale %v must be positive", scale)
-			}
+	for _, pol := range policies {
+		for _, scale := range DefaultScales() {
 			modeled := int64(scale * float64(cfg.Base.Capacity))
 			ghostBytes := int64(scale * float64(cfg.Base.Capacity) / float64(cfg.SampleRate))
 			if ghostBytes <= 0 {
@@ -213,15 +190,6 @@ func baselinePolicy(kind core.PolicyKind, policies []Policy) string {
 		}
 	}
 	return name
-}
-
-func findPolicy(name string, policies []Policy) (Policy, error) {
-	for _, p := range policies {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	return Policy{}, fmt.Errorf("whatif: baseline %q is not in the policy set", name)
 }
 
 // SampleRate returns the configured 1-in-R sampling rate.

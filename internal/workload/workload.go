@@ -46,18 +46,16 @@ type Config struct {
 	Queries int
 	// Seed drives all random choices; equal seeds give equal traces.
 	Seed int64
-	// MeanInterarrival is the mean of the exponential inter-arrival time
-	// distribution, in seconds. Zero selects 1 s.
-	MeanInterarrival float64
 }
+
+// meanInterarrival is the mean of the exponential inter-arrival time
+// distribution, in seconds.
+const meanInterarrival = 1
 
 // normalize fills defaults.
 func (c *Config) normalize() {
 	if c.Queries <= 0 {
 		c.Queries = 17000
-	}
-	if c.MeanInterarrival <= 0 {
-		c.MeanInterarrival = 1
 	}
 }
 
@@ -95,7 +93,7 @@ func Generate(db *relation.Database, templates []*Template, cfg Config) (*trace.
 	tr.Records = make([]trace.Record, 0, cfg.Queries)
 	now := 0.0
 	for i := 0; i < cfg.Queries; i++ {
-		now += rng.ExpFloat64() * cfg.MeanInterarrival
+		now += rng.ExpFloat64() * meanInterarrival
 		t := pickTemplate(templates, totalWeight, rng)
 		q := t.Gen(rng)
 		m, ok := seen[q.ID]

@@ -241,13 +241,13 @@ func TestSetQueryCostSkewExceedsTPCD(t *testing.T) {
 }
 
 func TestInterarrivalTimes(t *testing.T) {
-	_, tr, err := StandardTPCD(0.005, Config{Queries: 2000, Seed: 9, MeanInterarrival: 2})
+	_, tr, err := StandardTPCD(0.005, Config{Queries: 2000, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mean := tr.Records[tr.Len()-1].Time / float64(tr.Len())
-	if mean < 1.5 || mean > 2.5 {
-		t.Fatalf("mean inter-arrival = %.2f, want ≈ 2", mean)
+	if mean < 0.75 || mean > 1.25 {
+		t.Fatalf("mean inter-arrival = %.2f, want ≈ %d", mean, meanInterarrival)
 	}
 }
 

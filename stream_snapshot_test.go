@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	watchman "repro"
+	"repro/internal/admission"
 )
 
 // TestGoldenTPCDStreamedSnapshot is the facade-level acceptance check for
@@ -18,9 +19,9 @@ func TestGoldenTPCDStreamedSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	newCache := func() (*watchman.Sharded, *watchman.AdmissionTuner) {
-		tuner, err := watchman.NewAdmissionTuner(watchman.AdmissionConfig{
-			Capacity: watchman.CacheBytesForFraction(tr, 0.25), K: 4, Window: 1 << 14,
+	newCache := func() (*watchman.Sharded, *admission.Tuner) {
+		tuner, err := admission.New(admission.Config{
+			Capacity: watchman.CacheBytesForFraction(tr, 0.25), K: 4, Window: tr.Len(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -57,8 +58,9 @@ func TestGoldenTPCDStreamedSnapshot(t *testing.T) {
 		}
 		sc.Reference(req)
 	}
-	if _, ok := tuner.TuneOnce(); !ok {
-		t.Fatal("tuning round did not score")
+	tuner.Drain()
+	if len(tuner.Rounds()) != 1 {
+		t.Fatal("the trace's last reference did not close a tuning round")
 	}
 
 	var streamed bytes.Buffer

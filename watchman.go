@@ -7,10 +7,11 @@
 // by LNC-R — victims are chosen in ascending order of the profit metric
 // λᵢ·cᵢ/sᵢ (reference rate × execution cost ÷ size) — and admission by
 // LNC-A, which caches a set only when its profit exceeds the aggregate
-// profit of the sets it would evict. The package also provides the paper's
-// baselines (vanilla LRU, LRU-K, LFU, LCS), the offline LNC* oracle, the
-// benchmark workload generators and the full experiment suite reproducing
-// every figure of the paper's evaluation.
+// profit of the sets it would evict. The package also provides the
+// paper's LRU and LRU-K baselines, the benchmark workload generators and
+// trace replay; the remaining baselines (LFU, LCS), the offline LNC*
+// oracle and the experiment suite reproducing every figure of the
+// paper's evaluation are run by the watchman command.
 //
 // Basic usage:
 //
@@ -60,7 +61,7 @@
 // loadgen` replays traces against it concurrently. What the daemon adds
 // around the cache is switched on by serve flags and read over its
 // protocol: -adaptive tunes the LNC-A threshold θ online (GET
-// /v1/admission; in process, NewAdmissionTuner and ShardedConfig.Tuner),
+// /v1/admission),
 // -snapshot-path restores a warm cache on boot and persists it (POST
 // /v1/snapshot), -debug attaches the flight recorder (GET /debug/requests,
 // GET /v1/explain/{id}), -whatif the ghost-cache matrix (GET /v1/whatif),
@@ -69,7 +70,6 @@
 package watchman
 
 import (
-	"repro/internal/admission"
 	"repro/internal/core"
 	"repro/internal/derive"
 	"repro/internal/engine"
@@ -95,10 +95,6 @@ const (
 	LRU = core.LRU
 	// LRUK is LRU-K at retrieved-set granularity.
 	LRUK = core.LRUK
-	// LFU is least-frequently-used.
-	LFU = core.LFU
-	// LCS evicts the largest set first (ADMS baseline).
-	LCS = core.LCS
 	// LNCR is the paper's Least Normalized Cost replacement.
 	LNCR = core.LNCR
 	// LNCRA is LNC-R with the LNC-A admission algorithm.
@@ -107,19 +103,6 @@ const (
 
 // New creates a cache manager.
 func New(cfg Config) (*Cache, error) { return core.New(cfg) }
-
-// CompressID canonicalizes a query string into a query ID by collapsing
-// delimiter runs, as §3 of the paper describes. A string that is already
-// canonical is returned as it is. Cache.Reference and Sharded.Reference
-// do this themselves — in one pass with the signature, into a buffer on
-// the stack — so callers need it only to name a set the way the cache
-// does (event IDs, snapshot records, /v1/explain).
-func CompressID(query string) string { return core.CompressID(query) }
-
-// Signature returns the hash signature the cache's lookup index buckets
-// entries by and the sharded cache routes by: 64-bit FNV-1a over the
-// bytes of a query ID.
-func Signature(id string) uint64 { return core.Signature(id) }
 
 // ShardedConfig parameterizes a Sharded cache: the shard count, the total
 // capacity and per-shard cache configuration, an optional Loader for
@@ -131,16 +114,8 @@ type ShardedConfig = shard.Config
 // query ID. All methods are safe for concurrent use.
 type Sharded = shard.Sharded
 
-// DefaultShards is the shard count used when ShardedConfig.Shards is zero.
-const DefaultShards = shard.DefaultShards
-
 // NewSharded creates a concurrent sharded cache manager.
 func NewSharded(cfg ShardedConfig) (*Sharded, error) { return shard.New(cfg) }
-
-// WallClock returns a time source mapping wall time to the cache's logical
-// seconds, anchored at the moment of the call. NewSharded installs one by
-// default; it is exported so tests and multi-cache setups can share one.
-func WallClock() func() float64 { return shard.WallClock() }
 
 // Admitter decides cache admission on the miss path: it is consulted
 // whenever admitting a missed set would require evictions. Install a
@@ -154,25 +129,6 @@ type AdmitterFunc = core.AdmitterFunc
 // AdmissionDecision carries the quantities of the §2.2 profit comparison
 // an Admitter rules on.
 type AdmissionDecision = core.AdmissionDecision
-
-// LNCA returns the paper's static LNC-A admission test (admit only when
-// the candidate's profit strictly exceeds its victims' aggregate profit).
-func LNCA() Admitter { return core.LNCA() }
-
-// AdmissionConfig parameterizes an AdmissionTuner: shadow capacity,
-// tuning window and candidate threshold grid.
-type AdmissionConfig = admission.Config
-
-// AdmissionTuner tunes the LNC-A admission threshold online: it profiles
-// recent references, scores a log-spaced grid of candidate thresholds
-// against persistent shadow caches, and atomically publishes the winner.
-// Install one via ShardedConfig.Tuner (serving) or use Config.Admitter =
-// tuner.Admitter() with a single-threaded Cache.
-type AdmissionTuner = admission.Tuner
-
-// NewAdmissionTuner creates an adaptive admission tuner. The initial
-// published threshold is the static LNC-A setting θ = 1.
-func NewAdmissionTuner(cfg AdmissionConfig) (*AdmissionTuner, error) { return admission.New(cfg) }
 
 // SemanticDeriver answers a missed request from cached content: it
 // indexes the plan descriptors of currently cached entries off the event
@@ -203,18 +159,3 @@ const AggSum = engine.AggSum
 
 // NewDeriver creates a semantic deriver.
 func NewDeriver() *SemanticDeriver { return derive.New() }
-
-// Item is one retrieved set in the §2.3 offline model.
-type Item = core.Item
-
-// LNCStar runs the offline greedy LNC* algorithm of §2.3: sort by
-// pᵢ·cᵢ/sᵢ descending and fill the cache. Returns the selected index set.
-func LNCStar(items []Item, capacity int64) map[int]bool {
-	return core.LNCStar(items, capacity)
-}
-
-// ExpectedCostSavings returns the steady-state cost savings ratio of a
-// static cache content under the §2.3 model.
-func ExpectedCostSavings(items []Item, cached map[int]bool) float64 {
-	return core.ExpectedCostSavings(items, cached)
-}
